@@ -27,16 +27,16 @@ def build_session(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
-    return (
+    spark = (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+    spark.conf.set(
+        "spark.sql.shuffle.partitions",
+        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(spark.sparkContext.defaultParallelism)),
+    )
+    return spark
 
 
 def run_table_job(table: str) -> None:

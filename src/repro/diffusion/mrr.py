@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @dataclass
@@ -77,26 +76,23 @@ def build_index(
     n_pieces: int,
     promoter_pool: np.ndarray,
 ) -> MRRIndex:
-    """Pivot the Spark MRR table into an :class:`MRRIndex`.
+    """Collect the Spark MRR table and pivot it into an :class:`MRRIndex`.
 
-    The heavy lifting (filter to V^p, group to per-(piece, vertex) sample
-    lists) runs in Spark; only the promoter-restricted lists are collected.
+    One ``toPandas`` brings the (piece, sample_id, vertex) rows to the driver
+    (a sketch of θ·ℓ RR sets is tens of thousands of rows); numpy keeps the
+    rows whose vertex is in V^p and sorts them by (piece, vertex, sample_id)
+    into each piece's CSR.
     """
-    pool = np.sort(np.asarray(promoter_pool, dtype=np.int32))
-    spark = mrr_df.sparkSession
-    pool_df = spark.createDataFrame(
-        [(int(v),) for v in pool], schema="vertex int"
+    pdf = mrr_df.select("piece", "sample_id", "vertex").toPandas()
+    return _pivot(
+        pdf["piece"].to_numpy(),
+        pdf["sample_id"].to_numpy(),
+        pdf["vertex"].to_numpy(),
+        n_vertices=n_vertices,
+        theta=theta,
+        n_pieces=n_pieces,
+        pool=promoter_pool,
     )
-    rows = (
-        mrr_df.join(pool_df, on="vertex")
-        .groupBy("piece", "vertex")
-        .agg(F.collect_list("sample_id").alias("samples"))
-        .collect()
-    )
-    per_piece: list[dict[int, np.ndarray]] = [dict() for _ in range(n_pieces)]
-    for r in rows:
-        per_piece[r["piece"]][r["vertex"]] = np.asarray(sorted(r["samples"]), dtype=np.int32)
-    return _assemble(n_vertices, theta, n_pieces, pool, per_piece)
 
 
 def index_from_sets(
@@ -112,44 +108,51 @@ def index_from_sets(
     """
     n_pieces = len(rr_sets)
     theta = len(rr_sets[0])
-    pool = (
-        np.arange(n_vertices, dtype=np.int32)
-        if promoter_pool is None
-        else np.sort(np.asarray(promoter_pool, dtype=np.int32))
-    )
-    pool_set = set(int(v) for v in pool)
-    per_piece: list[dict[int, np.ndarray]] = []
+    pool = np.arange(n_vertices) if promoter_pool is None else promoter_pool
+    rows = []
     for j in range(n_pieces):
         assert len(rr_sets[j]) == theta, "all pieces must have θ RR sets"
-        cov: dict[int, list[int]] = {}
-        for i, s in enumerate(rr_sets[j]):
-            for v in s:
-                if int(v) in pool_set:
-                    cov.setdefault(int(v), []).append(i)
-        per_piece.append({v: np.asarray(ids, dtype=np.int32) for v, ids in cov.items()})
-    return _assemble(n_vertices, theta, n_pieces, pool, per_piece)
+        rows += [(j, i, int(v)) for i, s in enumerate(rr_sets[j]) for v in s]
+    piece, sample_id, vertex = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    return _pivot(
+        piece,
+        sample_id,
+        vertex,
+        n_vertices=n_vertices,
+        theta=theta,
+        n_pieces=n_pieces,
+        pool=pool,
+    )
 
 
-def _assemble(
+def _pivot(
+    piece: np.ndarray,
+    sample_id: np.ndarray,
+    vertex: np.ndarray,
+    *,
     n_vertices: int,
     theta: int,
     n_pieces: int,
     pool: np.ndarray,
-    per_piece: list[dict[int, np.ndarray]],
 ) -> MRRIndex:
+    """Membership rows → per-piece CSR over the promoters in ``pool``."""
+    pool = np.sort(np.asarray(pool, dtype=np.int32))
+    rows = np.flatnonzero(np.isin(vertex, pool))
+    rows = rows[np.lexsort((sample_id[rows], vertex[rows], piece[rows]))]
+    piece, sample_id, vertex = piece[rows], sample_id[rows], vertex[rows]
+    bounds = np.searchsorted(piece, np.arange(n_pieces + 1))
     pieces = []
-    for j in range(n_pieces):
-        cov = per_piece[j]
-        promoters = np.asarray(sorted(cov), dtype=np.int32)
-        chunks = [cov[int(v)] for v in promoters]
-        lens = np.asarray([len(c) for c in chunks], dtype=np.int64)
-        indptr = np.concatenate([[0], np.cumsum(lens)])
-        samples = (
-            np.concatenate(chunks).astype(np.int32)
-            if chunks
-            else np.empty(0, dtype=np.int32)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        promoters, counts = np.unique(vertex[lo:hi], return_counts=True)
+        indptr = np.zeros(len(promoters) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pieces.append(
+            PieceCoverage(
+                promoters=promoters.astype(np.int32),
+                indptr=indptr,
+                samples=sample_id[lo:hi].astype(np.int32),
+            )
         )
-        pieces.append(PieceCoverage(promoters=promoters, indptr=indptr, samples=samples))
     return MRRIndex(
         n_vertices=n_vertices,
         theta=theta,

@@ -16,6 +16,7 @@ def test_prepare_shapes(prepared_test_graph):
     assert prep.pieces.shape == (3, TEST_GRAPH.n_topics)
     assert prep.edge_count > 0
     assert prep.sample_seconds > 0
+    assert prep.index_seconds > 0
     assert len(prep.im_cov.promoters) > 0
 
 

@@ -1,22 +1,35 @@
-"""Tests for the Spark iterative RR/MRR sampler (§V-A).
+"""Tests for the Spark RR/MRR sampler (§V-A).
 
 Deterministic cases (edge probabilities 0/1) are checked exactly against
 analytic reachability; probabilistic cases are validated statistically
-against the forward Monte-Carlo simulator.
+against the forward Monte-Carlo simulator.  The numpy coin is checked bit
+for bit against Spark SQL's ``xxhash64``.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyspark
 import pytest
+from pyspark import cloudpickle
 from pyspark.sql import functions as F
 
 from repro.diffusion.mrr import build_index
 from repro.diffusion.rr_sets import (
+    mrr_batches,
+    reverse_csrs,
     sample_mrr_sets,
     sample_roots,
     sample_rr_sets,
     spread_estimate,
+    xxhash64_coin,
 )
 from repro.diffusion.simulate import ForwardSimulator
 from repro.graphs.topics import edges_by_piece
@@ -178,3 +191,92 @@ def test_estimated_au_matches_forward_sim(spark, ex1_edges_df):
     sim = ForwardSimulator(pdf.reset_index(drop=True), EX1_PIECES, 5)
     truth = sim.adoption_utility({0: [0], 1: [4]}, alpha=3.0, beta=1.0, trials=3000, seed=23)
     assert abs(est - truth) / truth < 0.10, (est, truth)
+
+
+def test_coin_matches_spark_xxhash64(spark):
+    """The numpy coin equals Spark SQL's xxhash64-based coin bit for bit."""
+    g = np.random.default_rng(31)
+    i32 = np.iinfo(np.int32)
+    cols = ["piece", "sample_id", "src", "dst"]
+    vals = g.integers(i32.min, i32.max, size=(20_000, 4), endpoint=True, dtype=np.int32)
+    vals[:4] = [[0, 0, 0, 0], [-1, -1, -1, -1], [i32.min] * 4, [i32.max] * 4]
+    pdf = pd.DataFrame(vals, columns=cols)
+    df = spark.createDataFrame(pdf, schema=", ".join(f"{c} int" for c in cols))
+    for seed in (0, 11101, -7, i32.max):
+        h = F.xxhash64(F.lit(seed), *[F.col(c) for c in cols])
+        coin = F.pmod(h, F.lit(1 << 24)).cast("double") / float(1 << 24)
+        got = df.select(*cols, coin.alias("coin")).toPandas().sort_values(cols)
+        want = xxhash64_coin(seed, *(got[c].to_numpy() for c in cols))
+        assert np.array_equal(got["coin"].to_numpy(), want), seed
+
+
+def test_seed_outside_int32_rejected(spark, ex1_edges_df):
+    roots = sample_roots(spark, n=5, theta=3, seed=0)
+    ebp = edges_by_piece(ex1_edges_df, EX1_PIECES)
+    with pytest.raises(ValueError, match="int32"):
+        sample_mrr_sets(spark, ebp, roots, 2, seed=1 << 31)
+
+
+def test_long_path_not_truncated(spark):
+    """A certain 100-vertex path yields the whole path as the tail's RR set:
+    the reverse BFS runs 99 levels, with no depth cap."""
+    n = 100
+    pdf = pd.DataFrame(
+        {"src": range(n - 1), "dst": range(1, n), "probs": [[1.0]] * (n - 1)}
+    )
+    from repro.graphs.generator import EDGE_SCHEMA
+
+    edges = spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+    ebp = edges_by_piece(edges, np.array([[1.0]]))
+    roots = spark.createDataFrame(
+        pd.DataFrame({"sample_id": [0, 1], "vertex": [n - 1, 0]}),
+        schema="sample_id int, vertex int",
+    )
+    got = sample_mrr_sets(spark, ebp, roots, 1, seed=4).toPandas()
+    assert sorted(got.loc[got["sample_id"] == 0, "vertex"]) == list(range(n))
+    assert got.loc[got["sample_id"] == 1, "vertex"].tolist() == [0]
+
+
+def test_worker_runs_without_the_package(tmp_path):
+    """Spark's Python workers may not be able to import ``repro``: the
+    mapInArrow function must unpickle and run in a fresh interpreter that
+    can import pyspark but not this package."""
+    g = np.random.default_rng(8)
+    m, n = 300, 60
+    edges = pd.DataFrame(
+        {
+            "piece": g.integers(0, 2, m).astype(np.int32),
+            "src": g.integers(0, n, m).astype(np.int32),
+            "dst": g.integers(0, n, m).astype(np.int32),
+            "p": g.uniform(0.1, 0.6, m),
+        }
+    )
+    csrs = types.SimpleNamespace(value=reverse_csrs(edges, 2))
+    fn = mrr_batches(csrs, 5)
+    batch = pa.RecordBatch.from_pydict(
+        {
+            "sample_id": pa.array(np.arange(40, dtype=np.int32)),
+            "vertex": pa.array(g.integers(0, n + 5, 40).astype(np.int32)),
+        }
+    )
+    script = (
+        "import pickle, sys\n"
+        "sys.modules['repro'] = None  # importing the package now fails\n"
+        "fn, batch = pickle.load(sys.stdin.buffer)\n"
+        "sys.stdout.buffer.write(pickle.dumps(list(fn(iter([batch])))))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pyspark.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=cloudpickle.dumps((fn, batch)),
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    remote = pa.Table.from_batches(pickle.loads(proc.stdout))
+    local = pa.Table.from_batches(list(fn(iter([batch]))))
+    assert remote.equals(local)
+    assert local.num_rows > 2 * 40  # some RR sets grew beyond their roots

@@ -69,6 +69,7 @@ def test_table3(spark):
     assert r["edges"] > 0
     assert math.isclose(r["avg_degree"], r["edges"] / r["vertices"], rel_tol=0.01)
     assert r["sample_seconds"] > 0
+    assert r["index_seconds"] > 0
 
 
 def test_eps_sweep(spark):
