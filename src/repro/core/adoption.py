@@ -8,8 +8,8 @@ intersects R_i^j.
 
 Two implementations are provided and cross-checked in tests: a numpy one
 over the collected :class:`~repro.diffusion.mrr.MRRIndex` (used inside the
-search loop) and a Spark DataFrame one over the raw MRR table (used by
-jobs and validated against the DuckDB oracle).
+search loop) and a Spark DataFrame one over the raw MRR table (an
+independent check, itself validated against the DuckDB oracle).
 """
 from __future__ import annotations
 
@@ -67,24 +67,15 @@ def estimate_au_spark(
     n_vertices: int,
     theta: int,
 ) -> float:
-    """Eqn 6 as a Spark aggregation over the raw MRR membership table.
-
-    Joins the plan (piece, vertex) pairs with MRR memberships, counts
-    distinct covered pieces per sample, applies the logistic and sums.
+    """Eqn 6 as a Spark aggregation over the raw MRR membership table:
+    the logistic of :func:`adoption_counts_df`'s per-sample counts, summed.
     Samples covered by no piece drop out of the join — contributing 0,
     exactly as Eqn 1 prescribes.
     """
-    pairs = [(int(j), int(v)) for j, seeds in plan.items() for v in seeds]
-    if not pairs:
+    if not any(plan.values()):
         return 0.0
-    spark = mrr_df.sparkSession
-    plan_df = spark.createDataFrame(pairs, schema="piece int, vertex int")
     row = (
-        mrr_df.join(plan_df, on=["piece", "vertex"])
-        .select("sample_id", "piece")
-        .distinct()
-        .groupBy("sample_id")
-        .agg(F.count("piece").alias("c"))
+        adoption_counts_df(mrr_df, plan)
         .agg(
             F.sum(
                 1.0 / (1.0 + F.exp(F.lit(model.alpha) - F.lit(model.beta) * F.col("c")))
@@ -98,7 +89,8 @@ def estimate_au_spark(
 
 def adoption_counts_df(mrr_df: DataFrame, plan: Plan) -> DataFrame:
     """Per-sample distinct-piece counts as a DataFrame (sample_id, c) —
-    the relational core of Eqn 6, exposed for oracle-checked tests."""
+    the relational core of Eqn 6: the plan's (piece, vertex) pairs joined
+    with the MRR memberships, distinct covered pieces counted per sample."""
     pairs = [(int(j), int(v)) for j, seeds in plan.items() for v in seeds]
     spark = mrr_df.sparkSession
     plan_df = spark.createDataFrame(pairs, schema="piece int, vertex int")

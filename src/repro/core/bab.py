@@ -5,9 +5,11 @@ the top entry yields the global upper bound U over the unexplored space;
 the best candidate plan found by any `ComputeBound` completion is the
 global lower bound L.  The search terminates when the relative gap
 (U − L)/U falls inside ``gap_tol`` (the paper runs BAB "within 1% error
-ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop
-(never reached in the shipped configurations; the achieved gap is always
-reported).
+ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop.
+The backstop is reached: at β/α=0.3 three rows of results/vary_ratio.md
+stop at 500 pops with gaps of 3–14%.  The achieved gap is always reported,
+but U is the greedy τ of Algorithm 2, which is (1−1/e)-close to max τ and
+not an upper bound on OPT, so the gap is not a certified optimality gap.
 
 Branching pair v* (Algorithm 1 line 9 is underspecified): the first pick
 of the parent's greedy completion — the available (promoter, piece) pair
@@ -32,6 +34,10 @@ from .bound import (
     compute_bound,
     compute_bound_progressive,
 )
+
+# The heap-pop backstop: the default of branch_and_bound, run_methods and
+# the full-scale tables.
+MAX_POPS = 500
 
 
 @dataclass
@@ -69,7 +75,7 @@ def branch_and_bound(
     progressive: bool = False,
     eps: float = 0.5,
     gap_tol: float = 0.01,
-    max_pops: int = 5000,
+    max_pops: int = MAX_POPS,
 ) -> BABResult:
     """Run BAB (plain bound) or BAB-P (progressive bound) for budget k."""
     t0 = time.perf_counter()

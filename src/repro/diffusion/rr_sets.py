@@ -31,7 +31,6 @@ import pandas as pd
 import pyarrow as pa
 from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 # Spark's Python workers need not be able to import this package (a driver
@@ -226,26 +225,3 @@ def sample_mrr_sets(
     csrs.unpersist()
     return out
 
-
-def sample_rr_sets(
-    spark: SparkSession,
-    edges: DataFrame,
-    roots: DataFrame,
-    *,
-    seed: int = 0,
-) -> DataFrame:
-    """Single-graph RR sets: ``edges`` is (src, dst, p) → (sample_id, vertex)."""
-    one = edges.select(F.lit(0).alias("piece"), "src", "dst", "p")
-    out = sample_mrr_sets(spark, one, roots, 1, seed=seed)
-    return out.select("sample_id", "vertex")
-
-
-def spread_estimate(rr_sets: DataFrame, seeds: list[int], n: int, theta: int) -> float:
-    """σ_IM(S) ≈ n/θ · #{i : R_i ∩ S ≠ ∅} — the classical RR estimator (§V-A)."""
-    covered = (
-        rr_sets.where(F.col("vertex").isin([int(s) for s in seeds]))
-        .select("sample_id")
-        .distinct()
-        .count()
-    )
-    return n / theta * covered

@@ -19,7 +19,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.adoption import LogisticModel, plan_size
-from repro.core.bab import branch_and_bound
+from repro.core.bab import MAX_POPS, branch_and_bound
 from repro.core.baselines import im_baseline, tim_baseline
 from repro.diffusion.mrr import MRRIndex, PieceCoverage, build_index
 from repro.diffusion.rr_sets import sample_mrr_sets, sample_roots
@@ -111,7 +111,7 @@ def run_methods(
     eps: float = DEFAULT_EPS,
     methods: tuple[str, ...] = ALL_METHODS,
     gap_tol: float = 0.01,
-    max_pops: int = 200,
+    max_pops: int = MAX_POPS,
 ) -> list[dict]:
     """One experiment cell: every requested method on the prepared data.
 
@@ -121,42 +121,11 @@ def run_methods(
     model = LogisticModel.from_ratio(ratio)
     index = prep.index
     rows = []
-    base = dict(
-        dataset=prep.graph_cfg.name,
-        k=k,
-        l=index.n_pieces,
-        ratio=ratio,
-        theta=prep.theta,
-    )
     for method in methods:
         if method == "IM":
             r = im_baseline(prep.im_cov, index, model, k)
-            rows.append(
-                base
-                | dict(
-                    method="IM",
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=float("nan"),
-                    evals=0,
-                    pops=0,
-                )
-            )
         elif method == "TIM":
             r = tim_baseline(index, model, k)
-            rows.append(
-                base
-                | dict(
-                    method="TIM",
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=float("nan"),
-                    evals=0,
-                    pops=0,
-                )
-            )
         elif method in ("BAB", "BAB-P"):
             r = branch_and_bound(
                 index,
@@ -167,20 +136,25 @@ def run_methods(
                 gap_tol=gap_tol,
                 max_pops=max_pops,
             )
-            rows.append(
-                base
-                | dict(
-                    method=method,
-                    utility=r.utility,
-                    seconds=r.seconds,
-                    assignments=plan_size(r.plan),
-                    gap=r.gap,
-                    evals=r.evals,
-                    pops=r.pops,
-                )
-            )
         else:  # pragma: no cover - config error guard
             raise ValueError(f"unknown method {method!r}")
+        searched = method in ("BAB", "BAB-P")
+        rows.append(
+            dict(
+                dataset=prep.graph_cfg.name,
+                k=k,
+                l=index.n_pieces,
+                ratio=ratio,
+                theta=prep.theta,
+                method=method,
+                utility=r.utility,
+                seconds=r.seconds,
+                assignments=plan_size(r.plan),
+                gap=r.gap if searched else float("nan"),
+                evals=r.evals if searched else 0,
+                pops=r.pops if searched else 0,
+            )
+        )
     return rows
 
 

@@ -1,10 +1,10 @@
 """Table generators — one per evaluation table (DESIGN.md §4).
 
 Each function returns a list of row dicts; `rows_to_markdown` renders them
-for EXPERIMENTS.md.  `Scale` bundles the sweep resolution so jobs (full
-scale) and pytest benchmarks (reduced scale) share code.  The paper's
-reference numbers (read off the text and figures) live in PAPER_REFERENCE
-and are echoed into EXPERIMENTS.md next to measured values.
+for EXPERIMENTS.md.  `Scale` bundles the sweep resolution: ``jobs/run.py``
+runs every table at `FULL`, and the tests at a micro scale of their own.
+The paper's reference numbers (read off the text and figures) live in
+PAPER_REFERENCE and are echoed into EXPERIMENTS.md next to measured values.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
+from repro.core.bab import MAX_POPS
 from repro.graphs.datasets import DATASETS, TEST_GRAPH
 
 from .harness import (
@@ -27,7 +28,7 @@ from .harness import (
 
 @dataclass(frozen=True)
 class Scale:
-    """Sweep resolution: jobs use FULL, pytest benchmarks use BENCH."""
+    """Sweep resolution of the tables: datasets, θ and the swept values."""
 
     theta: int
     datasets: tuple[str, ...]
@@ -46,17 +47,7 @@ FULL = Scale(
     l_values=(1, 2, 3, 4, 5),
     ratio_values=(0.3, 0.5, 0.7),
     eps_values=(0.1, 0.3, 0.5, 0.7, 0.9),
-    max_pops=500,
-)
-
-BENCH = Scale(
-    theta=2000,
-    datasets=("lastfm_lite",),
-    k_values=(10, 30, 50),
-    l_values=(1, 3, 5),
-    ratio_values=(0.3, 0.5, 0.7),
-    eps_values=(0.1, 0.5, 0.9),
-    max_pops=60,
+    max_pops=MAX_POPS,
 )
 
 

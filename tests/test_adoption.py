@@ -164,6 +164,23 @@ def test_adoption_counts_oracle(spark):
     )
 
 
+def test_oracle_catches_wrong_result(spark):
+    """The oracle must fail on a wrong result, not only on a crash: COUNT(*)
+    in place of COUNT(DISTINCT piece) counts piece 0 twice in the samples
+    whose RR set holds both of its seeds a and b."""
+    mrr = _ex1_mrr_pdf()
+    plan_pdf = pd.DataFrame({"piece": [0, 0, 1], "vertex": [0, 1, 4]})
+    got = adoption_counts_df(spark.createDataFrame(mrr), {0: {0, 1}, 1: {4}})
+    sql = """
+        SELECT sample_id, {} AS c
+        FROM mrr m JOIN plan p ON m.piece = p.piece AND m.vertex = p.vertex
+        GROUP BY sample_id
+    """
+    assert_equivalent(got, sql.format("COUNT(DISTINCT m.piece)"), mrr=mrr, plan=plan_pdf)
+    with pytest.raises(AssertionError):
+        assert_equivalent(got, sql.format("COUNT(*)"), mrr=mrr, plan=plan_pdf)
+
+
 def test_full_au_oracle(spark, ex1_model):
     """End-to-end Eqn 6 vs a DuckDB SQL formulation of the same estimator."""
     import duckdb

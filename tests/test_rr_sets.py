@@ -27,8 +27,6 @@ from repro.diffusion.rr_sets import (
     reverse_csrs,
     sample_mrr_sets,
     sample_roots,
-    sample_rr_sets,
-    spread_estimate,
     xxhash64_coin,
 )
 from repro.diffusion.simulate import ForwardSimulator
@@ -111,18 +109,14 @@ def test_zero_probability_edges_never_transmit(spark):
 
 
 def test_rr_single_graph_wrapper(spark, ex1_edges_df):
-    edges_p0 = edges_by_piece(ex1_edges_df, EX1_PIECES).where(
-        F.col("piece") == 0
-    ).select("src", "dst", "p")
+    """Classical single-graph RR sets: MRR sampling with one piece."""
+    one_piece = edges_by_piece(ex1_edges_df, EX1_PIECES[:1])
     roots = spark.createDataFrame(
         pd.DataFrame({"sample_id": [0, 1], "vertex": [3, 0]}),
         schema="sample_id int, vertex int",
     )
-    rr = sample_rr_sets(spark, edges_p0, roots, seed=5)
-    got = {
-        r["sample_id"]: set()
-        for r in rr.collect()
-    }
+    rr = sample_mrr_sets(spark, one_piece, roots, 1, seed=5)
+    got = {0: set(), 1: set()}
     for r in rr.collect():
         got[r["sample_id"]].add(r["vertex"])
     assert got[0] == {0, 1, 2, 3}
@@ -147,9 +141,11 @@ def test_spread_estimate_matches_forward_sim(spark):
     theta = 3000
     roots = sample_roots(spark, n=n, theta=theta, seed=6)
     ebp = edges_by_piece(edges, piece)
-    rr = sample_mrr_sets(spark, ebp, roots, 1, seed=11).select("sample_id", "vertex")
+    rr = sample_mrr_sets(spark, ebp, roots, 1, seed=11).toPandas()
     seeds = [0, 7, 13]
-    est = spread_estimate(rr, seeds, n, theta)
+    # σ_IM(S) ≈ n/θ · #{i : R_i ∩ S ≠ ∅}, the classical RR estimator (§V-A).
+    hit = rr.loc[rr["vertex"].isin(seeds), "sample_id"].nunique()
+    est = n / theta * hit
     sim = ForwardSimulator(pdf.reset_index(drop=True), piece, n)
     truth = sim.spread(seeds, 0, trials=1500, seed=12)
     assert abs(est - truth) / truth < 0.12, (est, truth)

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.experiments.tables import (
-    BENCH,
     FULL,
     PAPER_REFERENCE,
     Scale,
@@ -52,7 +51,7 @@ def test_registry_complete():
 
 
 def test_scales_sane():
-    for s in (FULL, BENCH, MICRO):
+    for s in (FULL, MICRO):
         assert s.theta > 0 and s.k_values and s.datasets
 
 
