@@ -53,9 +53,14 @@ def plan_size(plan: Plan) -> int:
     return sum(len(s) for s in plan.values())
 
 
-def estimate_au(index: MRRIndex, plan: Plan, model: LogisticModel) -> float:
-    """Eqn 6 over the collected MRR sketch."""
-    counts = index.plan_counts(plan)
+def estimate_au(
+    index: MRRIndex, plan: Plan, model: LogisticModel, *, counts: np.ndarray | None = None
+) -> float:
+    """Eqn 6 over the collected MRR sketch.  ``counts``, if given, must equal
+    ``index.plan_counts(plan)``; a caller that already holds them saves the
+    recount."""
+    if counts is None:
+        counts = index.plan_counts(plan)
     return index.n_vertices / index.theta * float(model.prob(counts).sum())
 
 

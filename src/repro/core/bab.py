@@ -5,7 +5,8 @@ the top entry yields the global upper bound U over the unexplored space;
 the best candidate plan found by any `ComputeBound` completion is the
 global lower bound L.  The search terminates when the relative gap
 (U − L)/U falls inside ``gap_tol`` (the paper runs BAB "within 1% error
-ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop.
+ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop;
+``BABResult.stop_reason`` records which.
 The backstop is reached: at β/α=0.3 three rows of results/vary_ratio.md
 stop at 500 pops with gaps of 3–14%.  The achieved gap is always reported,
 but U is the greedy τ of Algorithm 2, which is (1−1/e)-close to max τ and
@@ -52,18 +53,16 @@ class BABResult:
     seconds: float
     method: str = "BAB"
     extra: dict = field(default_factory=dict)
+    # Why the search stopped: "gap" (U − L within gap_tol), "exhausted"
+    # (heap empty) or "max_pops" (backstop reached with the heap non-empty).
+    stop_reason: str = ""
 
 
-def _full_pools(index: MRRIndex) -> list[np.ndarray]:
-    return [np.ones(len(cov.promoters), dtype=bool) for cov in index.pieces]
-
-
-def _remove(pools: list[np.ndarray], index: MRRIndex, piece: int, v: int) -> list[np.ndarray]:
-    out = [p.copy() for p in pools]
-    cov = index.pieces[piece]
-    i = int(np.searchsorted(cov.promoters, v))
-    if i < len(cov.promoters) and cov.promoters[i] == v:
-        out[piece][i] = False
+def _remove(pools: np.ndarray, index: MRRIndex, piece: int, v: int) -> np.ndarray:
+    out = pools.copy()
+    g = index.slot(piece, v)
+    if g >= 0:
+        out[g] = False
     return out
 
 
@@ -81,29 +80,34 @@ def branch_and_bound(
     t0 = time.perf_counter()
     stats = SearchStats()
 
-    def bound(plan: Plan, pools: list[np.ndarray]) -> BoundResult:
+    def bound(plan: Plan, pools: np.ndarray) -> BoundResult:
         if progressive:
             return compute_bound_progressive(
                 index, model, plan, pools, k, eps=eps, stats=stats
             )
         return compute_bound(index, model, plan, pools, k, stats=stats)
 
-    pools0 = _full_pools(index)
+    pools0 = np.ones(len(index.slots.piece), dtype=bool)  # one flag per slot
     root = bound({}, pools0)
     best_plan, best_lower = root.plan, root.lower
     upper = root.upper
 
     tick = itertools.count()  # heap tiebreaker; plans aren't orderable
-    heap: list[tuple[float, int, Plan, list[np.ndarray], tuple[int, int] | None]] = []
+    heap: list[tuple[float, int, Plan, np.ndarray, tuple[int, int] | None]] = []
     if root.upper > best_lower and root.first_pick is not None:
         heapq.heappush(heap, (-root.upper, next(tick), {}, pools0, root.first_pick))
 
     pops = 0
-    while heap and pops < max_pops:
+    stop_reason = "exhausted"
+    while heap:
+        if pops >= max_pops:
+            stop_reason = "max_pops"
+            break
         neg_u, _, plan, pools, pick = heapq.heappop(heap)
         upper = -neg_u
         pops += 1
         if upper - best_lower <= gap_tol * max(upper, 1e-12):
+            stop_reason = "gap"
             break  # 1% termination criterion
         if upper <= best_lower or pick is None or plan_size(plan) >= k:
             continue
@@ -142,4 +146,5 @@ def branch_and_bound(
         seconds=time.perf_counter() - t0,
         method="BAB-P" if progressive else "BAB",
         extra={"eps": eps} if progressive else {},
+        stop_reason=stop_reason,
     )

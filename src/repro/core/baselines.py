@@ -36,13 +36,13 @@ class BaselineResult:
 
 def greedy_max_coverage(cov: PieceCoverage, k: int, theta: int) -> list[int]:
     """Classical RR-set greedy: repeatedly take the promoter covering the
-    most still-uncovered samples.  Vectorized full scans per iteration."""
-    covered = np.zeros(theta, dtype=bool)
+    most still-uncovered samples.  Vectorized full scans per iteration over
+    per-sample weights (1 = uncovered) that each pick zeroes in place."""
+    uncovered = np.ones(theta, dtype=np.float64)
     chosen: list[int] = []
     avail = np.ones(len(cov.promoters), dtype=bool)
     for _ in range(min(k, int(avail.sum()))):
-        w = (~covered).astype(np.float64)
-        gains = masked_reduceat(w[cov.samples], cov.indptr)
+        gains = masked_reduceat(uncovered[cov.samples], cov.indptr)
         gains[~avail] = -np.inf
         i = int(np.argmax(gains))
         if gains[i] <= 0:
@@ -50,7 +50,7 @@ def greedy_max_coverage(cov: PieceCoverage, k: int, theta: int) -> list[int]:
         v = int(cov.promoters[i])
         chosen.append(v)
         avail[i] = False
-        covered[cov.samples[cov.indptr[i] : cov.indptr[i + 1]]] = True
+        uncovered[cov.samples[cov.indptr[i] : cov.indptr[i + 1]]] = 0.0
     return chosen
 
 

@@ -46,69 +46,39 @@ class SearchStats:
     extra: dict = field(default_factory=dict)
 
 
-def _available_mask(index: MRRIndex, pools: list[np.ndarray], plan: Plan) -> list[np.ndarray]:
-    """Per-piece availability aligned with the piece's CSR promoter order:
-    in the (branch-restricted) pool and not already assigned to the piece."""
-    masks = []
-    for j, cov in enumerate(index.pieces):
-        m = pools[j].copy()
-        for v in plan.get(j, ()):
-            i = int(np.searchsorted(cov.promoters, v))
-            if i < len(cov.promoters) and cov.promoters[i] == v:
-                m[i] = False
-        masks.append(m)
-    return masks
+def _available(
+    index: MRRIndex, pools: list[np.ndarray] | np.ndarray, plan: Plan
+) -> tuple[np.ndarray, list[int]]:
+    """Slot availability — in the (branch-restricted) pool and not already
+    assigned to the piece — and the number of available slots per piece.
+    ``pools`` is one bool array over the index's slots, or a list of
+    per-piece arrays in CSR promoter order."""
+    avail = np.concatenate(pools) if isinstance(pools, list) else pools.copy()
+    for j, seeds in plan.items():
+        for v in seeds:
+            g = index.slot(j, int(v))
+            if g >= 0:
+                avail[g] = False
+    n_avail = np.bincount(index.slots.piece[avail], minlength=index.n_pieces)
+    return avail, n_avail.tolist()
 
 
-def _merge(partial: Plan, additions: Plan) -> Plan:
-    out = {j: set(s) for j, s in partial.items()}
-    for j, s in additions.items():
-        out.setdefault(j, set()).update(s)
-    return out
-
-
-def compute_bound(
-    index: MRRIndex,
-    model: LogisticModel,
-    partial_plan: Plan,
-    pools: list[np.ndarray],
-    k: int,
-    *,
-    stats: SearchStats | None = None,
+def _result(
+    state: BoundState, partial_plan: Plan, upper: float, stats: SearchStats | None
 ) -> BoundResult:
-    """Algorithm 2: plain greedy bound estimation (full scans)."""
-    state = BoundState(index, model, partial_plan)
-    avail = _available_mask(index, pools, partial_plan)
-    additions: Plan = {}
-    first_pick: tuple[int, int] | None = None
-
-    budget = k - plan_size(partial_plan)
-    for _ in range(budget):
-        best_gain, best = 0.0, None
-        for j, cov in enumerate(index.pieces):
-            if not avail[j].any():
-                continue
-            gains = state.gains_all(j)
-            gains[~avail[j]] = -np.inf
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain:
-                best_gain, best = float(gains[i]), (j, i)
-        if best is None:
-            break
-        j, i = best
-        v = int(index.pieces[j].promoters[i])
-        state.add(j, v)
-        avail[j][i] = False
-        additions.setdefault(j, set()).add(v)
-        if first_pick is None:
-            first_pick = (j, v)
-
-    plan = _merge(partial_plan, additions)
+    """The completed plan S̄a ∪ S̄ from the state's additions, its lower
+    bound and the first greedy pick."""
+    slots = state.index.slots
+    picks = [(int(slots.piece[g]), int(slots.promoter[g])) for g in state.added]
+    plan = {j: set(seeds) for j, seeds in partial_plan.items()}
+    for j, v in picks:
+        plan.setdefault(j, set()).add(v)
     res = BoundResult(
         plan=plan,
-        lower=estimate_au(index, plan, model),
-        upper=state.tau_scaled(),
-        first_pick=first_pick,
+        # state.c is the completed plan's per-sample piece count.
+        lower=estimate_au(state.index, plan, state.model, counts=state.c),
+        upper=upper,
+        first_pick=picks[0] if picks else None,
         evals=state.evals,
     )
     if stats is not None:
@@ -117,11 +87,40 @@ def compute_bound(
     return res
 
 
+def compute_bound(
+    index: MRRIndex,
+    model: LogisticModel,
+    partial_plan: Plan,
+    pools: list[np.ndarray] | np.ndarray,
+    k: int,
+    *,
+    stats: SearchStats | None = None,
+) -> BoundResult:
+    """Algorithm 2: plain greedy bound estimation (full scans).
+
+    Each step scores every slot in one pass and takes the first maximum in
+    slot order (piece-major, then CSR position)."""
+    state = BoundState(index, model, partial_plan)
+    avail, n_avail = _available(index, pools, partial_plan)
+    for _ in range(k - plan_size(partial_plan)):
+        if not any(n_avail):
+            break
+        gains = np.where(avail, state.scan(n_avail), -np.inf)
+        g = int(np.argmax(gains))
+        if gains[g] <= 0.0:
+            break
+        state.slot_add(g)
+        avail[g] = False
+        n_avail[index.slots.piece[g]] -= 1
+
+    return _result(state, partial_plan, state.tau_scaled(), stats)
+
+
 def compute_bound_progressive(
     index: MRRIndex,
     model: LogisticModel,
     partial_plan: Plan,
-    pools: list[np.ndarray],
+    pools: list[np.ndarray] | np.ndarray,
     k: int,
     *,
     eps: float = 0.5,
@@ -129,39 +128,29 @@ def compute_bound_progressive(
 ) -> BoundResult:
     """Algorithm 3: progressive threshold-based bound estimation."""
     state = BoundState(index, model, partial_plan)
-    avail = _available_mask(index, pools, partial_plan)
+    avail, n_avail = _available(index, pools, partial_plan)
     budget = k - plan_size(partial_plan)
-    additions: Plan = {}
-    first_pick: tuple[int, int] | None = None
 
-    # Line 2: order all (piece, promoter) pairs by singleton gain δ∅(v).
-    entries: list[tuple[float, int, int]] = []  # (δ∅, piece, csr-pos)
-    for j in range(index.n_pieces):
-        if not avail[j].any():
-            continue
-        gains = state.gains_all(j)
-        for i in np.flatnonzero(avail[j] & (gains > 0.0)):
-            entries.append((float(gains[i]), j, int(i)))
-    entries.sort(key=lambda e: -e[0])
-    taken = np.zeros(len(entries), dtype=bool)
+    # Line 2: order all available slots by singleton gain δ∅(v); a stable
+    # sort keeps slot order among ties.
+    gains = state.scan(n_avail)
+    slots = np.flatnonzero(avail & (gains > 0.0))
+    slots = slots[np.argsort(-gains[slots], kind="stable")]
+    entries = list(zip(gains[slots].tolist(), slots.tolist()))  # (δ∅, slot)
+    taken = [False] * len(entries)
 
     n_added = 0
     if entries and budget > 0:
         h = entries[0][0]  # Lines 3-4: maxinf
         while n_added < budget:
-            for idx, (g0, j, i) in enumerate(entries):
+            for idx, (g0, g) in enumerate(entries):
                 if g0 < h:
                     break  # Lines 11-12: sorted order ⇒ no later entry passes
                 if taken[idx]:
                     continue
-                d = state.gain(j, int(index.pieces[j].promoters[i]))
-                if d >= h:
-                    v = int(index.pieces[j].promoters[i])
-                    state.add(j, v)
+                if state.slot_gain(g) >= h:
+                    state.slot_add(g)
                     taken[idx] = True
-                    additions.setdefault(j, set()).add(v)
-                    if first_pick is None:
-                        first_pick = (j, v)
                     n_added += 1
                     if n_added >= budget:
                         break
@@ -183,29 +172,14 @@ def compute_bound_progressive(
     # still-positive marginals, scanning once in δ∅ order.  This only
     # raises the candidate plan's AU — pruning validity is untouched.
     if n_added < budget:
-        for idx_e, (g0, j, i) in enumerate(entries):
+        for idx, (_, g) in enumerate(entries):
             if n_added >= budget:
                 break
-            if taken[idx_e]:
+            if taken[idx]:
                 continue
-            v = int(index.pieces[j].promoters[i])
-            if state.gain(j, v) > 0.0:
-                state.add(j, v)
-                taken[idx_e] = True
-                additions.setdefault(j, set()).add(v)
-                if first_pick is None:
-                    first_pick = (j, v)
+            if state.slot_gain(g) > 0.0:
+                state.slot_add(g)
+                taken[idx] = True
                 n_added += 1
 
-    plan = _merge(partial_plan, additions)
-    res = BoundResult(
-        plan=plan,
-        lower=estimate_au(index, plan, model),
-        upper=upper,
-        first_pick=first_pick,
-        evals=state.evals,
-    )
-    if stats is not None:
-        stats.bound_calls += 1
-        stats.evals += state.evals
-    return res
+    return _result(state, partial_plan, upper, stats)

@@ -3,13 +3,21 @@
 A :class:`BoundState` tracks, for one `ComputeBound` invocation anchored at
 a partial plan S̄a: the per-sample anchor counts c₀ (pieces covered by S̄a),
 the current counts c (after greedy additions), per-piece covered masks, and
-the running bound value τ = Σ_i G[c₀_i, c_i].  Marginal gains are computed
-against the delta table D[c₀, c] with `np.add.reduceat` over each piece's
-CSR coverage layout, so a full scan over all promoters of a piece is one
-vectorized pass.
+the per-sample weights ``base = D[c₀, c]``, the marginal bound gain of
+covering a sample once more (D is the delta table of the anchored
+envelope).  The running bound value is τ = Σ_i G[c₀_i, c_i].
 
-``stats`` dicts count τ-marginal evaluations — the complexity currency of
-§V-C (Theorem 4) used for the BAB vs BAB-P accounting.
+Candidates are the slots of the index's :class:`~repro.diffusion.mrr.SlotLayout`:
+every (piece, promoter) pair of all ℓ pieces in one concatenated CSR.  One
+pass scores every slot: ``where(covered[piece, sample], 0, base[sample])``
+over all entries, then one ``np.add.reduceat`` over the slot segments.
+``add`` updates c, the covered mask and ``base`` only on the samples it
+newly covers.  Single-slot gains and additions take a slot position, so the
+search never looks a promoter up; the ``(piece, v)`` forms look the slot up
+once and are for callers outside the kernel.
+
+``evals`` counts τ-marginal evaluations — the complexity currency of §V-C
+(Theorem 4) used for the BAB vs BAB-P accounting.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ import numpy as np
 from repro.diffusion.mrr import MRRIndex
 
 from .adoption import LogisticModel, Plan
-from .envelope import delta_table, envelope_table
+from .envelope import bound_tables
 
 
 def anchor_from_plan(index: MRRIndex, plan: Plan) -> tuple[np.ndarray, np.ndarray]:
@@ -48,10 +56,13 @@ class BoundState:
     def __init__(self, index: MRRIndex, model: LogisticModel, partial_plan: Plan):
         self.index = index
         self.model = model
-        self.G = envelope_table(model, index.n_pieces)
-        self.D = delta_table(self.G)
+        self.G, self.D = bound_tables(model, index.n_pieces)
         self.c0, self.covered = anchor_from_plan(index, partial_plan)
+        self._covered_cells = self.covered.reshape(-1)  # view, indexed by slot cells
         self.c = self.c0.copy()
+        self.base = self.D[self.c0, self.c]
+        self._piece_sizes = np.diff(index.slots.offsets).tolist()
+        self.added: list[int] = []  # slots added, in order
         self.evals = 0  # number of τ-marginal evaluations (promoters scored)
 
     # -- bound value ---------------------------------------------------
@@ -63,40 +74,61 @@ class BoundState:
         return self.index.n_vertices / self.index.theta * self.tau()
 
     # -- marginal gains ------------------------------------------------
-    def _weights(self, piece: int) -> np.ndarray:
-        """Per-sample gain if piece ``piece`` newly covers that sample."""
-        w = self.D[self.c0, self.c].copy()
-        w[self.covered[piece]] = 0.0
-        return w
+    def _slot_gains(self) -> np.ndarray:
+        """Marginal τ-gain of every slot, in one pass over all entries."""
+        s = self.index.slots
+        vals = np.where(self._covered_cells[s.cells], 0.0, self.base[s.samples])
+        return np.add.reduceat(vals, s.indptr[:-1])
+
+    def scan(self, n_avail: list[int]) -> np.ndarray:
+        """Marginal τ-gain of every slot.  Counts one evaluation per promoter
+        of every piece j with an available slot (``n_avail[j] > 0``) — the
+        'scan all candidates' cost of plain ComputeBound."""
+        self.evals += sum(p for p, a in zip(self._piece_sizes, n_avail) if a)
+        return self._slot_gains()
 
     def gains_all(self, piece: int) -> np.ndarray:
         """Marginal τ-gain of every promoter of ``piece`` (CSR order).
-        Counts one evaluation per promoter scanned — the 'scan all
-        candidates' cost of plain ComputeBound."""
-        cov = self.index.pieces[piece]
-        self.evals += len(cov.promoters)
-        w = self._weights(piece)
-        return masked_reduceat(w[cov.samples], cov.indptr)
+        Counts one evaluation per promoter scanned."""
+        lo, hi = self.index.slots.offsets[piece : piece + 2]
+        self.evals += int(hi - lo)
+        return self._slot_gains()[lo:hi]
 
-    def gain(self, piece: int, v: int) -> float:
-        """Marginal τ-gain of a single (promoter, piece) addition.
+    def slot_gain(self, g: int) -> float:
+        """Marginal τ-gain of slot ``g`` alone.
 
-        O(|covered samples of v|), not O(θ): this is what makes the
+        O(|covered samples of the slot|), not O(θ): this is what makes the
         progressive method's per-evaluation cost match the Theorem 4
         accounting (a τ evaluation touches only the promoter's RR sets).
         """
         self.evals += 1
-        ids = self.index.covered_by(piece, int(v))
+        ids = self.index.slots.covers[g]
+        ids = ids[~self.covered[self.index.slots.piece[g]][ids]]
         if ids.size == 0:
             return 0.0
-        ids = ids[~self.covered[piece, ids]]
-        if ids.size == 0:
+        return float(self.base[ids].sum())
+
+    def gain(self, piece: int, v: int) -> float:
+        """Marginal τ-gain of a single (promoter, piece) addition."""
+        g = self.index.slot(piece, int(v))
+        if g < 0:
+            self.evals += 1
             return 0.0
-        return float(self.D[self.c0[ids], self.c[ids]].sum())
+        return self.slot_gain(g)
 
     # -- mutation ------------------------------------------------------
+    def slot_add(self, g: int) -> None:
+        """Add slot ``g`` to the plan, updating only the newly covered samples."""
+        self.added.append(g)
+        covered = self.covered[self.index.slots.piece[g]]
+        ids = self.index.slots.covers[g]
+        fresh = ids[~covered[ids]]
+        covered[fresh] = True
+        c = self.c[fresh] + 1
+        self.c[fresh] = c
+        self.base[fresh] = self.D[self.c0[fresh], c]
+
     def add(self, piece: int, v: int) -> None:
-        ids = self.index.covered_by(piece, int(v))
-        fresh = ids[~self.covered[piece, ids]]
-        self.covered[piece, fresh] = True
-        self.c[fresh] += 1
+        g = self.index.slot(piece, int(v))
+        if g >= 0:
+            self.slot_add(g)

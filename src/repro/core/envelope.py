@@ -23,6 +23,8 @@ faithfulness (see DESIGN.md §3).
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .adoption import LogisticModel
@@ -84,6 +86,17 @@ def delta_table(G: np.ndarray) -> np.ndarray:
     D[:, : n - 1] = G[:, 1:] - G[:, : n - 1]
     D = np.nan_to_num(D, nan=0.0)
     return D
+
+
+@functools.lru_cache(maxsize=64)
+def bound_tables(model: LogisticModel, n_pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, D) = (:func:`envelope_table`, :func:`delta_table`), built once per
+    (model, ℓ) and shared by every bound state, so both are read-only."""
+    G = envelope_table(model, n_pieces)
+    D = delta_table(G)
+    G.setflags(write=False)
+    D.setflags(write=False)
+    return G, D
 
 
 def tangent_gradient(x0: float, *, tol: float = 1e-9) -> float:

@@ -1,11 +1,12 @@
 """Driver-side MRR index: the sampled sketch the search algorithms run on.
 
 Spark produces the MRR membership table (piece, sample_id, vertex); the
-index restricts it to the promoter pool V^p and pivots it into per-(piece,
-promoter) covered-sample arrays plus a per-piece CSR layout so greedy
-marginal-gain scans are vectorized numpy (`np.add.reduceat`).  Everything
-the branch-and-bound needs is in this object; the raw DataFrame stays
-available for Spark-side AU evaluation and oracle checks.
+index restricts it to the promoter pool V^p and pivots it into one CSR per
+piece, plus one concatenated CSR over all pieces (:class:`SlotLayout`) so a
+greedy step scores every (piece, promoter) pair in one vectorized pass
+(`np.add.reduceat`).  Everything the branch-and-bound needs is in this
+object; the raw DataFrame stays available for Spark-side AU evaluation and
+oracle checks.
 """
 from __future__ import annotations
 
@@ -31,6 +32,50 @@ class PieceCoverage:
         return self.samples[self.indptr[i] : self.indptr[i + 1]]
 
 
+@dataclass(frozen=True)
+class SlotLayout:
+    """Every piece's CSR concatenated in piece order: slot g = offsets[j] + i
+    is promoter i of piece j, and covers ``samples[indptr[g]:indptr[g+1]]``.
+    Every slot covers at least one sample, so one ``np.add.reduceat`` over
+    ``indptr[:-1]`` sums every slot's segment."""
+
+    offsets: np.ndarray  # (ℓ+1,) int64, first slot of each piece
+    piece: np.ndarray  # (S,) int64, piece of each slot
+    promoter: np.ndarray  # (S,) int32, vertex of each slot
+    indptr: np.ndarray  # (S+1,) int64
+    samples: np.ndarray  # (E,) int32, covered sample ids, slot-major
+    cells: np.ndarray  # (E,) int64, piece·θ + sample: the entry's flat (ℓ, θ) cell
+    covers: list[np.ndarray]  # per-slot views of ``samples``
+    lookup: list[dict[int, int]]  # per piece: promoter vertex → slot
+
+
+def _slot_layout(pieces: list[PieceCoverage], theta: int) -> SlotLayout:
+    def cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype, copy=False)
+
+    sizes = np.array([len(c.promoters) for c in pieces], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    lens = cat([np.diff(c.indptr) for c in pieces], np.int64)
+    if (lens == 0).any():
+        raise ValueError("every promoter of a piece must cover at least one sample")
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    piece = np.repeat(np.arange(len(pieces), dtype=np.int64), sizes)
+    samples = cat([c.samples for c in pieces], np.int32)
+    return SlotLayout(
+        offsets=offsets,
+        piece=piece,
+        promoter=cat([c.promoters for c in pieces], np.int32),
+        indptr=indptr,
+        samples=samples,
+        cells=np.repeat(piece, lens) * theta + samples,
+        covers=[samples[a:b] for a, b in zip(indptr[:-1], indptr[1:])],
+        lookup=[
+            dict(zip(c.promoters.tolist(), range(lo, lo + len(c.promoters))))
+            for c, lo in zip(pieces, offsets.tolist())
+        ],
+    )
+
+
 @dataclass
 class MRRIndex:
     """The full sketch: θ samples × ℓ pieces, restricted to promoters V^p."""
@@ -40,9 +85,18 @@ class MRRIndex:
     n_pieces: int
     promoter_pool: np.ndarray  # (|V^p|,) int32 sorted
     pieces: list[PieceCoverage] = field(default_factory=list)
+    slots: SlotLayout = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.slots = _slot_layout(self.pieces, self.theta)
+
+    def slot(self, piece: int, v: int) -> int:
+        """Slot of promoter ``v`` in ``piece``, or −1 if ``v`` is not one."""
+        return self.slots.lookup[piece].get(v, -1)
 
     def covered_by(self, piece: int, v: int) -> np.ndarray:
-        return self.pieces[piece].covered_by(v)
+        g = self.slot(piece, v)
+        return self.slots.covers[g] if g >= 0 else np.empty(0, dtype=np.int32)
 
     def subset(self, piece_ids: list[int]) -> "MRRIndex":
         """A view-like index over a subset of pieces (e.g. dropping the

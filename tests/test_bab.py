@@ -137,3 +137,17 @@ def test_beats_or_matches_single_piece_plans():
     res = branch_and_bound(idx, m, 5, max_pops=100)
     tim = tim_baseline(idx, m, 5)
     assert res.utility >= tim.utility - 1e-6
+
+
+@pytest.mark.parametrize("progressive", [False, True], ids=["BAB", "BAB-P"])
+def test_stop_reason(ex1_index, ex1_model, progressive):
+    """Each of the three stops is recorded: the heap empties on Example 1,
+    one pop leaves the children on the heap, and a 100% tolerance accepts
+    the first pop."""
+    run = lambda **kw: branch_and_bound(ex1_index, ex1_model, 2, progressive=progressive, **kw)
+    res = run()
+    assert res.stop_reason == "exhausted" and res.gap == 0.0
+    res = run(max_pops=1)
+    assert res.stop_reason == "max_pops" and res.pops == 1 and res.gap > 0.01
+    res = run(gap_tol=1.0)
+    assert res.stop_reason == "gap" and res.pops == 1

@@ -10,7 +10,7 @@ from repro.core.bound import (
     compute_bound,
     compute_bound_progressive,
 )
-from repro.core.coverage import BoundState
+from repro.core.coverage import BoundState, masked_reduceat
 
 from .conftest import random_index
 
@@ -186,3 +186,66 @@ def test_progressive_empty_pool(model):
     pools = [np.zeros(len(c.promoters), dtype=bool) for c in small.pieces]
     res = compute_bound_progressive(small, model, {}, pools, 3)
     assert plan_size(res.plan) == 0 and res.lower == 0.0
+
+
+def _reference_compute_bound(idx, model, partial, pools, k):
+    """Algorithm 2 as a per-piece loop: each step recomputes the weights
+    D[c0, c], scans every piece that has an available promoter (counting one
+    evaluation per promoter of that piece) and keeps the first strict
+    maximum, piece-major."""
+    state = BoundState(idx, model, partial)
+    avail = [p.copy() for p in pools]
+    for j, seeds in partial.items():
+        for v in seeds:
+            avail[j][idx.pieces[j].promoters == v] = False
+    evals, plan, first = 0, {j: set(s) for j, s in partial.items()}, None
+    for _ in range(k - plan_size(partial)):
+        best_gain, best = 0.0, None
+        for j, cov in enumerate(idx.pieces):
+            if not avail[j].any():
+                continue
+            evals += len(cov.promoters)
+            w = state.D[state.c0, state.c].copy()
+            w[state.covered[j]] = 0.0
+            gains = masked_reduceat(w[cov.samples], cov.indptr)
+            gains[~avail[j]] = -np.inf
+            i = int(np.argmax(gains))
+            if gains[i] > best_gain:
+                best_gain, best = float(gains[i]), (j, i)
+        if best is None:
+            break
+        j, i = best
+        v = int(idx.pieces[j].promoters[i])
+        state.add(j, v)
+        avail[j][i] = False
+        plan.setdefault(j, set()).add(v)
+        first = first or (j, v)
+    return plan, state.tau_scaled(), first, evals
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_one_pass_greedy_equals_per_piece_reference(model, seed):
+    """Plans, bound, branching pair and evals equal the per-piece loop; evals
+    is Σ_steps Σ_{pieces with an available slot} len(promoters).  The small
+    instance with k above the pool size lets pieces run out of slots."""
+    small = random_index(n_vertices=12, theta=30, n_pieces=3, density=0.2, seed=seed)
+    g = np.random.default_rng(seed)
+    pools = [g.random(len(c.promoters)) < 0.7 for c in small.pieces]
+    v = int(small.pieces[1].promoters[0])
+    for partial, k in (({}, 4), ({}, 40), ({1: {v}}, 6)):
+        res = compute_bound(small, model, partial, pools, k)
+        plan, upper, first, evals = _reference_compute_bound(small, model, partial, pools, k)
+        assert res.plan == plan and res.upper == upper
+        assert res.first_pick == first and res.evals == evals
+
+
+@pytest.mark.parametrize("seed", [13, 14, 15])
+@pytest.mark.parametrize("bound", [compute_bound, compute_bound_progressive])
+def test_lower_is_estimate_au_exactly(model, seed, bound):
+    """The lower bound comes from the greedy state's counts, and equals
+    Eqn 6 recounted from the plan to the last bit."""
+    idx = random_index(n_vertices=40, theta=80, n_pieces=3, seed=seed)
+    v = int(idx.pieces[2].promoters[1])
+    for partial in ({}, {2: {v}}):
+        res = bound(idx, model, partial, full_pools(idx), 6)
+        assert res.lower == estimate_au(idx, res.plan, model)

@@ -142,3 +142,62 @@ def test_anchored_state_uses_refined_envelope():
     assert refined.tau() <= empty.tau() + G[0, 1] * idx.theta  # sanity scale
     # the refined state's anchor counts reflect the partial plan
     assert refined.c0.sum() == len(idx.covered_by(0, v0))
+
+
+def _random_plan(idx, g, size):
+    plan = {}
+    for _ in range(size):
+        j = int(g.integers(idx.n_pieces))
+        plan.setdefault(j, set()).add(int(g.choice(idx.pieces[j].promoters)))
+    return plan
+
+
+def _reference_gains(state, piece):
+    """The per-piece scan the one-pass kernel replaced: weights D[c0, c]
+    recomputed from scratch, zeroed where ``piece`` already covers."""
+    cov = state.index.pieces[piece]
+    w = state.D[state.c0, state.c].copy()
+    w[state.covered[piece]] = 0.0
+    return masked_reduceat(w[cov.samples], cov.indptr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_state_invariants_after_every_add(seed):
+    """``base`` is kept incrementally; after every addition it equals
+    D[c0, c] recomputed, c equals the plan's per-sample piece counts, and the
+    one-pass gains equal the per-piece reference scan exactly."""
+    idx = random_index(n_vertices=30, theta=50, seed=seed)
+    m = LogisticModel.from_ratio(0.3)
+    g = np.random.default_rng(seed)
+    plan = _random_plan(idx, g, 2)
+    state = BoundState(idx, m, plan)
+    assert np.array_equal(state.c0, idx.plan_counts(plan))
+    plan = {j: set(s) for j, s in plan.items()}
+    for _ in range(12):
+        j = int(g.integers(idx.n_pieces))
+        v = int(g.choice(idx.pieces[j].promoters))  # repeats are no-ops
+        state.add(j, v)
+        plan.setdefault(j, set()).add(v)
+        assert np.array_equal(state.base, state.D[state.c0, state.c])
+        assert np.array_equal(state.c, idx.plan_counts(plan))
+        for jj in range(idx.n_pieces):
+            assert np.array_equal(state.gains_all(jj), _reference_gains(state, jj))
+
+
+def test_slot_gain_matches_piece_gain():
+    idx = random_index(seed=12)
+    m = LogisticModel.from_ratio(0.5)
+    state = BoundState(idx, m, _random_plan(idx, np.random.default_rng(0), 3))
+    for j, cov in enumerate(idx.pieces):
+        for v in cov.promoters:
+            assert state.slot_gain(idx.slot(j, int(v))) == state.gain(j, int(v))
+    assert state.gain(0, idx.n_vertices + 5) == 0.0  # not a promoter
+
+
+def test_scan_counts_pieces_with_available_slots():
+    idx = random_index(seed=14)
+    m = LogisticModel.from_ratio(0.5)
+    state = BoundState(idx, m, {})
+    sizes = [len(c.promoters) for c in idx.pieces]
+    state.scan([0, 2, 1])
+    assert state.evals == sizes[1] + sizes[2]

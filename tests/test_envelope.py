@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.adoption import LogisticModel
 from repro.core.envelope import (
+    bound_tables,
     delta_table,
     envelope_table,
     sigmoid,
@@ -157,3 +158,17 @@ def test_hard_ratio_needs_hull():
     f = m.adoption_values(5)
     G = envelope_table(m, 5)
     assert np.any(G[0, 1:] > f[1:] + 1e-9)
+
+
+def test_bound_tables_cached_and_read_only():
+    """One (G, D) per (model, ℓ), shared by every bound state, so a caller
+    cannot write into it."""
+    m = LogisticModel.from_ratio(0.3)
+    G, D = bound_tables(m, 4)
+    assert bound_tables(LogisticModel.from_ratio(0.3), 4)[0] is G
+    assert bound_tables(m, 3)[0] is not G
+    assert np.array_equal(G, envelope_table(m, 4), equal_nan=True)
+    assert np.array_equal(D, delta_table(envelope_table(m, 4)))
+    for table in (G, D):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0

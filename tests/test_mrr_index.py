@@ -111,3 +111,40 @@ def test_build_index_coverage_counts_oracle(spark):
 def test_index_mismatched_theta_raises():
     with pytest.raises(AssertionError):
         index_from_sets({0: [{1}], 1: [{1}, {2}]}, n_vertices=3)
+
+
+def test_slot_layout_matches_pieces():
+    """Slot g = offsets[j] + i is promoter i of piece j, over the same
+    samples as the piece's own CSR."""
+    idx = random_index(n_vertices=30, theta=40, n_pieces=3, seed=5)
+    s = idx.slots
+    assert len(s.piece) == len(s.promoter) == len(s.covers) == len(s.indptr) - 1
+    for j, cov in enumerate(idx.pieces):
+        for i, v in enumerate(cov.promoters.tolist()):
+            g = idx.slot(j, v)
+            assert g == s.offsets[j] + i and s.piece[g] == j and s.promoter[g] == v
+            assert np.array_equal(s.covers[g], cov.covered_by(v))
+            lo, hi = s.indptr[g], s.indptr[g + 1]
+            assert np.array_equal(s.cells[lo:hi], j * idx.theta + cov.covered_by(v))
+    assert idx.slot(0, 10_000) == -1
+
+
+def test_slot_layout_of_subset():
+    idx = random_index(n_vertices=30, theta=40, n_pieces=3, seed=6)
+    sub = idx.subset([2, 0])
+    assert sub.slot(0, int(idx.pieces[2].promoters[0])) == 0
+    v = int(idx.pieces[0].promoters[-1])
+    assert sub.slot(1, v) == len(idx.pieces[2].promoters) + len(idx.pieces[0].promoters) - 1
+    assert np.array_equal(sub.covered_by(1, v), idx.covered_by(0, v))
+
+
+def test_slot_layout_rejects_promoter_without_samples():
+    from repro.diffusion.mrr import MRRIndex, PieceCoverage
+
+    cov = PieceCoverage(
+        promoters=np.array([1, 2], dtype=np.int32),
+        indptr=np.array([0, 1, 1], dtype=np.int64),
+        samples=np.array([0], dtype=np.int32),
+    )
+    with pytest.raises(ValueError, match="at least one sample"):
+        MRRIndex(n_vertices=3, theta=1, n_pieces=1, promoter_pool=cov.promoters, pieces=[cov])
