@@ -5,8 +5,8 @@ the top entry yields the global upper bound U over the unexplored space;
 the best candidate plan found by any `ComputeBound` completion is the
 global lower bound L.  The search terminates when the relative gap
 (U − L)/U falls inside ``gap_tol`` (the paper runs BAB "within 1% error
-ratio"), when the heap empties (gap 0), or at the ``max_pops`` backstop;
-``BABResult.stop_reason`` records which.
+ratio"), when the heap runs empty with every entry explored (gap 0), or at
+the ``max_pops`` backstop; ``BABResult.stop_reason`` records which.
 The backstop is reached: at β/α=0.3 three rows of results/vary_ratio.md
 stop at 500 pops with gaps of 3–14%.  The achieved gap is always reported,
 but U is the greedy τ of Algorithm 2, which is (1−1/e)-close to max τ and
@@ -129,8 +129,8 @@ def branch_and_bound(
                     (-res.upper, next(tick), child_plan, child_pools, res.first_pick),
                 )
 
-    if not heap and pops > 0:
-        upper = best_lower  # space exhausted: bound is tight
+    if stop_reason == "exhausted" and pops > 0:
+        upper = best_lower  # every subspace explored: the bound is tight
     elif heap:
         upper = max(upper, -heap[0][0]) if pops >= max_pops else upper
     upper = max(upper, best_lower)

@@ -7,9 +7,11 @@ and, for each root, one RR set per viral piece over that piece's influence
 graph (edge probability ``p(t_j, e)``).
 
 The sampler is the RR-set construction of Borgs et al. (SODA'14) and IMM
-(Tang et al., SIGMOD'15): a reverse BFS per sample.  The per-piece influence
-graphs are small, so the driver collects them once, builds one reverse CSR
-per piece (in-edges grouped by ``dst``) and broadcasts them.
+(Tang et al., SIGMOD'15): a reverse BFS per sample.  Its input is the
+per-piece relation that ``topics.edges_by_piece`` derives on the driver (a
+local relation, so collecting it moves no data off the driver).  The driver
+builds one reverse CSR per piece (in-edges grouped by ``dst``) and
+broadcasts them.
 ``roots.mapInArrow`` then runs, in each task, a level-synchronous numpy BFS
 for every piece over the task's slice of roots and emits (piece, sample_id,
 vertex) batches; the result is checkpointed locally, once.  The BFS runs
@@ -206,9 +208,10 @@ def sample_mrr_sets(
 ) -> DataFrame:
     """All (piece, sample_id, vertex) memberships: vertex ∈ R_i^j.
 
-    ``edges_by_piece`` is (piece, src, dst, p); ``roots`` is
-    (sample_id, vertex).  Roots are shared across pieces, matching §V-A
-    ("for each selected user v_i, generate a multi-set of ℓ RR sets").
+    ``edges_by_piece`` is (piece, src, dst, p), as ``topics.edges_by_piece``
+    builds it; ``roots`` is (sample_id, vertex).  Roots are shared across
+    pieces, matching §V-A ("for each selected user v_i, generate a
+    multi-set of ℓ RR sets").
     The returned DataFrame is checkpointed locally, so it is safe to reuse
     across many downstream jobs without resampling.
     """

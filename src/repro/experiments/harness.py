@@ -1,11 +1,11 @@
 """Experiment harness: prepare a dataset once, run all four methods on it.
 
-`prepare` runs the Spark side (graph materialization, per-piece influence
-graphs, the MRR sampling job, coverage-index collection) and is cached per
-(dataset, ℓ, θ, seed) — the paper likewise samples once and excludes
-sampling time from method comparisons ("we exclude the sampling time for
-generating RR sets since the time is the same for all compared
-approaches"), reporting it separately in Table III.
+`prepare` generates the graph and derives the per-piece influence graphs on
+the driver, then runs the Spark side (the MRR sampling job, coverage-index
+collection).  It is cached per (dataset, ℓ, θ, seed) — the paper likewise
+samples once and excludes sampling time from method comparisons ("we
+exclude the sampling time for generating RR sets since the time is the same
+for all compared approaches"), reporting it separately in Table III.
 
 The topic-agnostic influence graph needed by the IM baseline is sampled in
 the same job as an extra (ℓ+1)-th "piece" whose topic vector is uniform.
@@ -24,7 +24,10 @@ from repro.core.baselines import im_baseline, tim_baseline
 from repro.diffusion.mrr import MRRIndex, PieceCoverage, build_index
 from repro.diffusion.rr_sets import sample_mrr_sets, sample_roots
 from repro.graphs.datasets import DATASETS
-from repro.graphs.generator import GraphConfig, promoter_pool, social_graph
+from repro.graphs.generator import GraphConfig, promoter_pool
+# prepare's layers are these module globals, called in the order social_graph,
+# edges_by_piece, sample_roots, build_index; perfbench/tracing.py wraps them.
+from repro.graphs.generator import social_graph_pandas as social_graph
 from repro.graphs.topics import edges_by_piece, one_hot_pieces, uniform_piece
 
 DEFAULT_K = 50
@@ -63,11 +66,10 @@ def prepare(
     key = (graph_cfg.name, graph_cfg.seed, n_pieces, theta, seed)
     if key in _CACHE:
         return _CACHE[key]
-    edges = social_graph(spark, graph_cfg)
-    edge_count = edges.count()
+    edges = social_graph(graph_cfg)
     pieces = one_hot_pieces(graph_cfg.n_topics, n_pieces, seed)
     all_pieces = np.vstack([pieces, uniform_piece(graph_cfg.n_topics)])
-    ebp = edges_by_piece(edges, all_pieces)
+    ebp = edges_by_piece(spark, edges, all_pieces)
     roots = sample_roots(spark, n=graph_cfg.n, theta=theta, seed=seed + 1)
     t0 = time.perf_counter()
     mrr_df = sample_mrr_sets(
@@ -91,7 +93,7 @@ def prepare(
         index=full.subset(list(range(n_pieces))),
         im_cov=full.pieces[n_pieces],
         theta=theta,
-        edge_count=edge_count,
+        edge_count=len(edges),
         sample_seconds=sample_seconds,
         index_seconds=index_seconds,
     )

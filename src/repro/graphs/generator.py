@@ -3,7 +3,7 @@
 The paper (§III-A) models a social network as a directed graph whose edges
 carry a topic-wise influence vector ``p(e) = (p(e|z_1), .., p(e|z_|Z|))``
 learned from propagation logs (TIC model).  No such logs ship with this
-container, so we *generate* graphs with the two properties the paper's
+repository, so we *generate* graphs with the two properties the paper's
 algorithms actually depend on:
 
 * power-law in/out degree distributions (§V's complexity analysis and the
@@ -13,7 +13,10 @@ algorithms actually depend on:
   so influence spreads are subcritical (small relative to ``n``), matching
   the utility magnitudes reported in the paper.
 
-All generation is deterministic in ``GraphConfig.seed``.
+All generation is deterministic in ``GraphConfig.seed``.  The graph is a
+driver-side pandas table (src, dst, probs): it is small, and every consumer
+(the per-piece derivation in ``topics.py``, the forward simulator, the
+benchmark's checks) reads it on the driver, so it never enters Spark.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class GraphConfig:
     """Parameters of one synthetic topic-aware social graph.
 
     ``m`` is a target edge count; duplicate/self-loop removal makes the
-    realized count slightly smaller (exposed via ``edge_count`` of the
-    generated frame).  ``topics_per_edge`` is an inclusive (lo, hi) range
+    realized count slightly smaller (the generated table's length, reported
+    as ``Prepared.edge_count``).  ``topics_per_edge`` is an inclusive (lo, hi) range
     for the number of non-zero entries of each edge's topic vector.
     ``prob_gain`` scales the weighted-cascade base probability
     ``p(e|z) ~ U(0.5, 1.5) * prob_gain / indeg(dst)``.
@@ -46,15 +47,6 @@ class GraphConfig:
     zipf_exponent: float = 0.9
     prob_gain: float = 1.0
     promoter_fraction: float = 0.1
-
-
-EDGE_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.IntegerType(), False),
-        T.StructField("dst", T.IntegerType(), False),
-        T.StructField("probs", T.ArrayType(T.DoubleType(), False), False),
-    ]
-)
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -86,26 +78,23 @@ def social_graph_pandas(cfg: GraphConfig) -> pd.DataFrame:
     indeg = np.bincount(dst, minlength=cfg.n).astype(np.float64)
     lo, hi = cfg.topics_per_edge
     n_edges = len(src)
-    probs = np.zeros((n_edges, cfg.n_topics), dtype=np.float64)
     n_active = g.integers(lo, hi + 1, size=n_edges)
     base = np.clip(
         g.uniform(0.5, 1.5, size=n_edges) * cfg.prob_gain / np.maximum(indeg[dst], 1.0),
         0.0,
         1.0,
     )
+    # Only the RNG draws stay per edge (topics, then per-topic jitter), in the
+    # order that fixes the stream; the arithmetic runs once over all of them.
+    zs, jitter = [], []
     for i in range(n_edges):
-        zs = g.choice(cfg.n_topics, size=n_active[i], replace=False)
-        # Per-topic jitter around the edge's base probability.
-        probs[i, zs] = np.clip(base[i] * g.uniform(0.6, 1.4, size=n_active[i]), 0.0, 1.0)
+        zs.append(g.choice(cfg.n_topics, size=n_active[i], replace=False))
+        jitter.append(g.uniform(0.6, 1.4, size=n_active[i]))
+    rows = np.repeat(np.arange(n_edges), n_active)
+    probs = np.zeros((n_edges, cfg.n_topics), dtype=np.float64)
+    if n_edges:
+        probs[rows, np.concatenate(zs)] = np.clip(base[rows] * np.concatenate(jitter), 0.0, 1.0)
     return pd.DataFrame({"src": src, "dst": dst, "probs": list(probs)})
-
-
-def social_graph(spark: SparkSession, cfg: GraphConfig) -> DataFrame:
-    """The edge table as a Spark DataFrame: (src int, dst int, probs array<double>)."""
-    pdf = social_graph_pandas(cfg)
-    # Plain-python floats: list<numpy.float64> is rejected when Arrow is off.
-    pdf = pdf.assign(probs=pdf["probs"].map(lambda a: [float(x) for x in a]))
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
 
 
 def promoter_pool(cfg: GraphConfig) -> np.ndarray:

@@ -4,12 +4,26 @@ A campaign T = {t_1..t_ℓ} assigns each piece a topic distribution; the
 experiments (§VI-A) "generate the topic vector by uniformly sampling a
 non-zero topic dimension", i.e. pieces are one-hot.  The influence
 probability of piece t over edge e is ``p(t, e) = t · p(e)`` (§III-A).
+
+The derivation runs on the driver in numpy, over the generator's pandas
+table; Spark's part of the sketch starts at the per-piece relation that
+``edges_by_piece`` hands to the MRR sampler.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import types as T
+
+PIECE_EDGE_SCHEMA = T.StructType(
+    [
+        T.StructField("piece", T.IntegerType(), False),
+        T.StructField("src", T.IntegerType(), False),
+        T.StructField("dst", T.IntegerType(), False),
+        T.StructField("p", T.DoubleType(), False),
+    ]
+)
 
 
 def one_hot_pieces(n_topics: int, n_pieces: int, seed: int) -> np.ndarray:
@@ -36,32 +50,46 @@ def uniform_piece(n_topics: int) -> np.ndarray:
     return np.full(n_topics, 1.0 / n_topics, dtype=np.float64)
 
 
-def piece_prob_col(piece: np.ndarray, probs_col: str = "probs") -> Column:
-    """Column expression computing ``p(t, e) = Σ_z t_z * p(e|z)`` from the
-    edge's ``probs`` array, entirely inside Catalyst (zip_with + aggregate)."""
-    t_lit = F.array(*[F.lit(float(x)) for x in piece])
-    prod = F.zip_with(F.col(probs_col), t_lit, lambda a, b: a * b)
-    return F.aggregate(prod, F.lit(0.0), lambda acc, x: acc + x)
+def piece_prob(probs: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """``p(t, e) = Σ_z t_z * p(e|z)`` for every row of the (edges × |Z|)
+    ``probs``, summed as a left fold from 0.0 in topic order.
+
+    The fixed order makes the result a pure function of its inputs (a BLAS
+    ``probs @ t`` may sum in any order, which moves the uniform piece's p in
+    the last bit), and it is the order of Spark SQL's
+    ``aggregate(zip_with(probs, t, *), 0.0, +)``.
+    """
+    acc = np.zeros(len(probs), dtype=np.float64)
+    for z, t_z in enumerate(piece):
+        acc = acc + probs[:, z] * t_z
+    return acc
 
 
-def edges_by_piece(edges: DataFrame, pieces: np.ndarray) -> DataFrame:
+def edges_by_piece(spark: SparkSession, edges: pd.DataFrame, pieces: np.ndarray) -> DataFrame:
     """Union of per-piece influence graphs: (piece int, src, dst, p double).
 
-    Zero-probability edges are dropped — they can never transmit, and for
-    sparse topic vectors (tweet-like data) this shrinks the join input by
-    orders of magnitude.
+    ``edges`` is the generator's (src, dst, probs) table.  Rows come piece by
+    piece, each in the table's order.  Zero-probability edges are dropped —
+    they can never transmit, and for sparse topic vectors (tweet-like data)
+    this shrinks the sampler's input by orders of magnitude.  The result is
+    a local relation built on the driver; creating it runs no Spark job.
     """
+    pieces = np.asarray(pieces, dtype=np.float64)
+    probs = np.array(edges["probs"].tolist(), dtype=np.float64).reshape(len(edges), pieces.shape[1])
+    src = edges["src"].to_numpy(np.int32)
+    dst = edges["dst"].to_numpy(np.int32)
     parts = []
     for j, t in enumerate(pieces):
+        p = piece_prob(probs, t)
+        keep = p > 0.0
         parts.append(
-            edges.select(
-                F.lit(int(j)).alias("piece"),
-                "src",
-                "dst",
-                piece_prob_col(t).alias("p"),
-            ).where(F.col("p") > 0.0)
+            pd.DataFrame(
+                {
+                    "piece": np.full(int(keep.sum()), j, dtype=np.int32),
+                    "src": src[keep],
+                    "dst": dst[keep],
+                    "p": p[keep],
+                }
+            )
         )
-    out = parts[0]
-    for part in parts[1:]:
-        out = out.unionByName(part)
-    return out
+    return spark.createDataFrame(pd.concat(parts, ignore_index=True), schema=PIECE_EDGE_SCHEMA)

@@ -60,11 +60,9 @@ def ex1_model() -> LogisticModel:
 
 
 @pytest.fixture(scope="session")
-def ex1_edges_df(spark):
-    pdf = EX1_EDGES.assign(probs=EX1_EDGES["probs"].map(list))
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+def ex1_edges_df() -> pd.DataFrame:
+    """Example 1 as the generator's (src, dst, probs) table."""
+    return EX1_EDGES.copy()
 
 
 # ---------------------------------------------------------------------------

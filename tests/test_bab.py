@@ -151,3 +151,15 @@ def test_stop_reason(ex1_index, ex1_model, progressive):
     assert res.stop_reason == "max_pops" and res.pops == 1 and res.gap > 0.01
     res = run(gap_tol=1.0)
     assert res.stop_reason == "gap" and res.pops == 1
+
+
+@pytest.mark.parametrize("progressive", [False, True], ids=["BAB", "BAB-P"])
+def test_gap_stop_on_last_entry_keeps_its_upper_bound(ex1_index, ex1_model, progressive):
+    """A gap stop on the heap's last entry leaves that subspace unexplored,
+    so U stays the popped bound: the same pop as a one-pop backstop."""
+    run = lambda **kw: branch_and_bound(ex1_index, ex1_model, 2, progressive=progressive, **kw)
+    res = run(gap_tol=0.05)
+    capped = run(max_pops=1)
+    assert res.stop_reason == "gap" and res.pops == 1
+    assert res.upper_bound == capped.upper_bound and res.utility == capped.utility
+    assert res.gap == pytest.approx(0.0284, abs=1e-4)

@@ -1,13 +1,15 @@
 """Tests for the topic-aware social-graph generator substrate."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs.datasets import DATASETS, DBLP_LITE, LASTFM_LITE, TEST_GRAPH, TWEET_LITE
-from repro.graphs.generator import GraphConfig, promoter_pool, social_graph, social_graph_pandas
+from repro.graphs.generator import GraphConfig, promoter_pool, social_graph_pandas
 from repro.oracle import assert_equivalent
 
 CFGS = [TEST_GRAPH, LASTFM_LITE]
@@ -105,10 +107,29 @@ def test_promoter_pool_properties():
     assert np.array_equal(pool, promoter_pool(LASTFM_LITE))  # deterministic
 
 
-def test_spark_graph_schema(spark):
-    df = social_graph(spark, TEST_GRAPH)
-    assert [f.name for f in df.schema.fields] == ["src", "dst", "probs"]
-    assert df.count() == len(social_graph_pandas(TEST_GRAPH))
+def test_spark_graph_schema(prepared_test_graph):
+    """The generator's table has the columns its readers use, and
+    ``prepare`` reports its length as the edge count."""
+    pdf = social_graph_pandas(TEST_GRAPH)
+    assert list(pdf.columns) == ["src", "dst", "probs"]
+    assert pdf["src"].dtype == np.int32 and pdf["dst"].dtype == np.int32
+    assert type(prepared_test_graph.edge_count) is int
+    assert prepared_test_graph.edge_count == len(pdf)
+
+
+# sha256 of LASTFM_LITE's src (int32), dst (int32) and stacked probs (float64)
+# bytes.  The lastfm rows of results/ were sampled from this graph: a change
+# to the generator's RNG stream or arithmetic moves them.
+LASTFM_LITE_SHA256 = "6da9a0ddf5fcb0f7d374c09f2714abc62cea8db1d31dea38c644f10083aaff3f"
+
+
+def test_lastfm_lite_bytes_pinned():
+    pdf = social_graph_pandas(LASTFM_LITE)
+    h = hashlib.sha256()
+    h.update(pdf["src"].to_numpy().tobytes())
+    h.update(pdf["dst"].to_numpy().tobytes())
+    h.update(np.stack(pdf["probs"].to_numpy()).tobytes())
+    assert h.hexdigest() == LASTFM_LITE_SHA256
 
 
 def test_degree_stats_oracle(spark):

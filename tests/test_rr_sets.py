@@ -42,7 +42,7 @@ def ex1_mrr(spark, ex1_edges_df):
         pd.DataFrame({"sample_id": range(5), "vertex": range(5)}),
         schema="sample_id int, vertex int",
     )
-    ebp = edges_by_piece(ex1_edges_df, EX1_PIECES)
+    ebp = edges_by_piece(spark, ex1_edges_df, EX1_PIECES)
     return sample_mrr_sets(spark, ebp, roots, 2, seed=1)
 
 
@@ -67,7 +67,7 @@ def test_mrr_exact_on_deterministic_graph(ex1_mrr):
 
 def test_mrr_contains_root(spark, ex1_edges_df):
     roots = sample_roots(spark, n=5, theta=20, seed=9)
-    ebp = edges_by_piece(ex1_edges_df, EX1_PIECES)
+    ebp = edges_by_piece(spark, ex1_edges_df, EX1_PIECES)
     mrr = sample_mrr_sets(spark, ebp, roots, 2, seed=2)
     joined = roots.join(mrr, on=["sample_id", "vertex"], how="left_anti")
     # every (sample, root) must appear in every piece's RR set
@@ -78,10 +78,7 @@ def test_sampler_deterministic_in_seed(spark, ex1_edges_df):
     pdf = pd.DataFrame(
         {"src": [0, 1], "dst": [1, 2], "probs": [[0.5], [0.5]]}
     )
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    edges = spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
-    ebp = edges_by_piece(edges, np.array([[1.0]]))
+    ebp = edges_by_piece(spark, pdf, np.array([[1.0]]))
     roots = sample_roots(spark, n=3, theta=40, seed=0)
     a = sample_mrr_sets(spark, ebp, roots, 1, seed=7).toPandas()
     b = sample_mrr_sets(spark, ebp, roots, 1, seed=7).toPandas()
@@ -98,10 +95,7 @@ def test_sampler_deterministic_in_seed(spark, ex1_edges_df):
 
 def test_zero_probability_edges_never_transmit(spark):
     pdf = pd.DataFrame({"src": [0], "dst": [1], "probs": [[0.0]]})
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    edges = spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
-    ebp = edges_by_piece(edges, np.array([[1.0]]))
+    ebp = edges_by_piece(spark, pdf, np.array([[1.0]]))
     roots = sample_roots(spark, n=2, theta=30, seed=1)
     mrr = sample_mrr_sets(spark, ebp, roots, 1, seed=3)
     # RR sets contain only the roots themselves.
@@ -110,7 +104,7 @@ def test_zero_probability_edges_never_transmit(spark):
 
 def test_rr_single_graph_wrapper(spark, ex1_edges_df):
     """Classical single-graph RR sets: MRR sampling with one piece."""
-    one_piece = edges_by_piece(ex1_edges_df, EX1_PIECES[:1])
+    one_piece = edges_by_piece(spark, ex1_edges_df, EX1_PIECES[:1])
     roots = spark.createDataFrame(
         pd.DataFrame({"sample_id": [0, 1], "vertex": [3, 0]}),
         schema="sample_id int, vertex int",
@@ -132,15 +126,10 @@ def test_spread_estimate_matches_forward_sim(spark):
     pdf = pd.DataFrame(
         {"src": src, "dst": dst, "probs": [[p] for p in g.uniform(0.05, 0.3, m)]}
     ).drop_duplicates(["src", "dst"])
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    edges = spark.createDataFrame(
-        pdf.assign(probs=pdf["probs"].map(list)), schema=EDGE_SCHEMA
-    )
     piece = np.array([[1.0]])
     theta = 3000
     roots = sample_roots(spark, n=n, theta=theta, seed=6)
-    ebp = edges_by_piece(edges, piece)
+    ebp = edges_by_piece(spark, pdf, piece)
     rr = sample_mrr_sets(spark, ebp, roots, 1, seed=11).toPandas()
     seeds = [0, 7, 13]
     # σ_IM(S) ≈ n/θ · #{i : R_i ∩ S ≠ ∅}, the classical RR estimator (§V-A).
@@ -170,14 +159,9 @@ def test_estimated_au_matches_forward_sim(spark, ex1_edges_df):
             ],
         }
     )
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    edges = spark.createDataFrame(
-        pdf.assign(probs=pdf["probs"].map(list)), schema=EDGE_SCHEMA
-    )
     theta = 4000
     roots = sample_roots(spark, n=5, theta=theta, seed=21)
-    mrr = sample_mrr_sets(spark, edges_by_piece(edges, EX1_PIECES), roots, 2, seed=22)
+    mrr = sample_mrr_sets(spark, edges_by_piece(spark, pdf, EX1_PIECES), roots, 2, seed=22)
     idx = build_index(
         mrr, n_vertices=5, theta=theta, n_pieces=2, promoter_pool=np.arange(5)
     )
@@ -208,7 +192,7 @@ def test_coin_matches_spark_xxhash64(spark):
 
 def test_seed_outside_int32_rejected(spark, ex1_edges_df):
     roots = sample_roots(spark, n=5, theta=3, seed=0)
-    ebp = edges_by_piece(ex1_edges_df, EX1_PIECES)
+    ebp = edges_by_piece(spark, ex1_edges_df, EX1_PIECES)
     with pytest.raises(ValueError, match="int32"):
         sample_mrr_sets(spark, ebp, roots, 2, seed=1 << 31)
 
@@ -220,10 +204,7 @@ def test_long_path_not_truncated(spark):
     pdf = pd.DataFrame(
         {"src": range(n - 1), "dst": range(1, n), "probs": [[1.0]] * (n - 1)}
     )
-    from repro.graphs.generator import EDGE_SCHEMA
-
-    edges = spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
-    ebp = edges_by_piece(edges, np.array([[1.0]]))
+    ebp = edges_by_piece(spark, pdf, np.array([[1.0]]))
     roots = spark.createDataFrame(
         pd.DataFrame({"sample_id": [0, 1], "vertex": [n - 1, 0]}),
         schema="sample_id int, vertex int",
