@@ -87,7 +87,7 @@ def branch_and_bound(
             )
         return compute_bound(index, model, plan, pools, k, stats=stats)
 
-    pools0 = np.ones(len(index.slots.piece), dtype=bool)  # one flag per slot
+    pools0 = np.ones(len(index.piece), dtype=bool)  # one flag per slot
     root = bound({}, pools0)
     best_plan, best_lower = root.plan, root.lower
     upper = root.upper

@@ -22,7 +22,6 @@ import numpy as np
 from repro.diffusion.mrr import MRRIndex, PieceCoverage
 
 from .adoption import LogisticModel, Plan, estimate_au
-from .coverage import masked_reduceat
 
 
 @dataclass
@@ -37,12 +36,13 @@ class BaselineResult:
 def greedy_max_coverage(cov: PieceCoverage, k: int, theta: int) -> list[int]:
     """Classical RR-set greedy: repeatedly take the promoter covering the
     most still-uncovered samples.  Vectorized full scans per iteration over
-    per-sample weights (1 = uncovered) that each pick zeroes in place."""
+    per-sample weights (1 = uncovered) that each pick zeroes in place.
+    Every promoter covers at least one sample, so no segment is empty."""
     uncovered = np.ones(theta, dtype=np.float64)
     chosen: list[int] = []
     avail = np.ones(len(cov.promoters), dtype=bool)
     for _ in range(min(k, int(avail.sum()))):
-        gains = masked_reduceat(uncovered[cov.samples], cov.indptr)
+        gains = np.add.reduceat(uncovered[cov.samples], cov.indptr[:-1])
         gains[~avail] = -np.inf
         i = int(np.argmax(gains))
         if gains[i] <= 0:

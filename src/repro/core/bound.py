@@ -15,10 +15,15 @@ threshold h starting at the largest singleton gain admits any promoter
 whose current marginal meets it, and decays by (1+ε) per round, with two
 early exits — the sorted-order break (δ∅(v) < h ⇒ δ_S̄(v) < h by
 submodularity) and the h ≤ τ·e⁻¹/((k−|S̄a|)(1−e⁻¹)) floor of Theorem 3.
+
+Both work on the slots of the :class:`~repro.diffusion.mrr.MRRIndex`: a
+branch's pool is one bool per slot, the partial plan's own slots are found
+with one vectorized lookup, and a pick is a slot, turned into its (piece,
+promoter) pair only for the returned plan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +48,17 @@ class BoundResult:
 class SearchStats:
     bound_calls: int = 0
     evals: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _available(
-    index: MRRIndex, pools: list[np.ndarray] | np.ndarray, plan: Plan
+    index: MRRIndex, pools: np.ndarray, plan: Plan
 ) -> tuple[np.ndarray, list[int]]:
-    """Slot availability — in the (branch-restricted) pool and not already
-    assigned to the piece — and the number of available slots per piece.
-    ``pools`` is one bool array over the index's slots, or a list of
-    per-piece arrays in CSR promoter order."""
-    avail = np.concatenate(pools) if isinstance(pools, list) else pools.copy()
-    for j, seeds in plan.items():
-        for v in seeds:
-            g = index.slot(j, int(v))
-            if g >= 0:
-                avail[g] = False
-    n_avail = np.bincount(index.slots.piece[avail], minlength=index.n_pieces)
+    """Slot availability — in the (branch-restricted) pool, one bool per
+    slot of the index, and not already assigned to the piece — and the
+    number of available slots per piece."""
+    avail = pools.copy()
+    avail[index.plan_slots(plan)] = False
+    n_avail = np.bincount(index.piece[avail], minlength=index.n_pieces)
     return avail, n_avail.tolist()
 
 
@@ -68,8 +67,8 @@ def _result(
 ) -> BoundResult:
     """The completed plan S̄a ∪ S̄ from the state's additions, its lower
     bound and the first greedy pick."""
-    slots = state.index.slots
-    picks = [(int(slots.piece[g]), int(slots.promoter[g])) for g in state.added]
+    index = state.index
+    picks = [(int(index.piece[g]), int(index.promoter[g])) for g in state.added]
     plan = {j: set(seeds) for j, seeds in partial_plan.items()}
     for j, v in picks:
         plan.setdefault(j, set()).add(v)
@@ -91,7 +90,7 @@ def compute_bound(
     index: MRRIndex,
     model: LogisticModel,
     partial_plan: Plan,
-    pools: list[np.ndarray] | np.ndarray,
+    pools: np.ndarray,
     k: int,
     *,
     stats: SearchStats | None = None,
@@ -111,7 +110,7 @@ def compute_bound(
             break
         state.slot_add(g)
         avail[g] = False
-        n_avail[index.slots.piece[g]] -= 1
+        n_avail[index.piece[g]] -= 1
 
     return _result(state, partial_plan, state.tau_scaled(), stats)
 
@@ -120,7 +119,7 @@ def compute_bound_progressive(
     index: MRRIndex,
     model: LogisticModel,
     partial_plan: Plan,
-    pools: list[np.ndarray] | np.ndarray,
+    pools: np.ndarray,
     k: int,
     *,
     eps: float = 0.5,

@@ -32,7 +32,7 @@ def test_greedy_max_coverage_matches_bruteforce():
     def coverage(vs):
         s = set()
         for v in vs:
-            s.update(cov.covered_by(v).tolist())
+            s.update(idx.covered_by(0, v).tolist())
         return len(s)
 
     best = max(

@@ -10,13 +10,13 @@ from repro.core.bound import (
     compute_bound,
     compute_bound_progressive,
 )
-from repro.core.coverage import BoundState, masked_reduceat
+from repro.core.coverage import BoundState
 
 from .conftest import random_index
 
 
 def full_pools(idx):
-    return [np.ones(len(c.promoters), dtype=bool) for c in idx.pieces]
+    return np.ones(len(idx.piece), dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_bound_first_pick_is_best_singleton(idx, model):
     res = compute_bound(idx, model, {}, full_pools(idx), 5)
     state = BoundState(idx, model, {})
     best = max(
-        (state.gain(j, int(v)), j, int(v))
+        (state.slot_gain(idx.slot(j, int(v))), j, int(v))
         for j in range(idx.n_pieces)
         for v in idx.pieces[j].promoters
     )
@@ -82,7 +82,7 @@ def test_bound_upper_majorizes_any_completion(idx, model):
 
 def test_bound_pool_restriction(idx, model):
     pools = full_pools(idx)
-    pools[0][:] = False  # piece 0 has no available promoters
+    pools[idx.offsets[0] : idx.offsets[1]] = False  # piece 0 has no available promoters
     res = compute_bound(idx, model, {}, pools, 5)
     assert 0 not in res.plan or not res.plan[0]
 
@@ -106,13 +106,13 @@ def test_greedy_matches_reference_implementation(idx, model):
             for v in idx.pieces[j].promoters:
                 if int(v) in used[j]:
                     continue
-                g = state.gain(j, int(v))
+                g = state.slot_gain(idx.slot(j, int(v)))
                 if g > best[0]:
                     best = (g, (j, int(v)))
         if best[1] is None:
             break
         j, v = best[1]
-        state.add(j, v)
+        state.slot_add(idx.slot(j, v))
         used[j].add(v)
         chosen.append((j, v))
     want = {j: s for j, s in ((j, set(vs for jj, vs in chosen if jj == j)) for j in range(idx.n_pieces)) if s}
@@ -155,7 +155,7 @@ def test_progressive_approximation_vs_plain(idx, model, eps):
 def test_progressive_fewer_evals_on_large_instance(model):
     """The raison d'être of Alg 3: far fewer τ evaluations than full scans."""
     big = random_index(n_vertices=300, theta=400, n_pieces=3, density=0.03, seed=21)
-    pools = [np.ones(len(c.promoters), dtype=bool) for c in big.pieces]
+    pools = full_pools(big)
     s_plain, s_prog = SearchStats(), SearchStats()
     compute_bound(big, model, {}, pools, 20, stats=s_plain)
     compute_bound_progressive(big, model, {}, pools, 20, eps=0.5, stats=s_prog)
@@ -174,7 +174,7 @@ def test_progressive_candidate_completion_fills_budget(model):
     """After the Theorem-3 floor exit, remaining budget is filled for the
     candidate plan (lower bound) without inflating the frozen upper bound."""
     big = random_index(n_vertices=150, theta=300, n_pieces=3, density=0.03, seed=77)
-    pools = [np.ones(len(c.promoters), dtype=bool) for c in big.pieces]
+    pools = full_pools(big)
     res = compute_bound_progressive(big, model, {}, pools, 30, eps=0.5)
     plain = compute_bound(big, model, {}, pools, 30)
     assert plan_size(res.plan) == plan_size(plain.plan) == 30
@@ -183,7 +183,7 @@ def test_progressive_candidate_completion_fills_budget(model):
 
 def test_progressive_empty_pool(model):
     small = random_index(n_vertices=10, theta=10, n_pieces=2, seed=3)
-    pools = [np.zeros(len(c.promoters), dtype=bool) for c in small.pieces]
+    pools = ~full_pools(small)
     res = compute_bound_progressive(small, model, {}, pools, 3)
     assert plan_size(res.plan) == 0 and res.lower == 0.0
 
@@ -207,7 +207,7 @@ def _reference_compute_bound(idx, model, partial, pools, k):
             evals += len(cov.promoters)
             w = state.D[state.c0, state.c].copy()
             w[state.covered[j]] = 0.0
-            gains = masked_reduceat(w[cov.samples], cov.indptr)
+            gains = np.add.reduceat(w[cov.samples], cov.indptr[:-1])
             gains[~avail[j]] = -np.inf
             i = int(np.argmax(gains))
             if gains[i] > best_gain:
@@ -216,7 +216,7 @@ def _reference_compute_bound(idx, model, partial, pools, k):
             break
         j, i = best
         v = int(idx.pieces[j].promoters[i])
-        state.add(j, v)
+        state.slot_add(idx.slot(j, v))
         avail[j][i] = False
         plan.setdefault(j, set()).add(v)
         first = first or (j, v)
@@ -233,7 +233,7 @@ def test_one_pass_greedy_equals_per_piece_reference(model, seed):
     pools = [g.random(len(c.promoters)) < 0.7 for c in small.pieces]
     v = int(small.pieces[1].promoters[0])
     for partial, k in (({}, 4), ({}, 40), ({1: {v}}, 6)):
-        res = compute_bound(small, model, partial, pools, k)
+        res = compute_bound(small, model, partial, np.concatenate(pools), k)
         plan, upper, first, evals = _reference_compute_bound(small, model, partial, pools, k)
         assert res.plan == plan and res.upper == upper
         assert res.first_pick == first and res.evals == evals

@@ -5,38 +5,24 @@ import numpy as np
 import pytest
 
 from repro.core.adoption import LogisticModel
-from repro.core.coverage import BoundState, anchor_from_plan, masked_reduceat
+from repro.core.coverage import BoundState
 from repro.core.envelope import envelope_table
 
 from .conftest import random_index
 
 
-def test_masked_reduceat_basic():
-    vals = np.array([1.0, 2.0, 3.0, 4.0])
-    indptr = np.array([0, 2, 2, 4])  # middle segment empty
-    out = masked_reduceat(vals, indptr)
-    assert np.allclose(out, [3.0, 0.0, 7.0])
-
-
-def test_masked_reduceat_all_empty():
-    out = masked_reduceat(np.empty(0), np.array([0, 0, 0]))
-    assert np.allclose(out, [0.0, 0.0])
-
-
-def test_masked_reduceat_single():
-    assert np.allclose(masked_reduceat(np.array([5.0]), np.array([0, 1])), [5.0])
-
-
-def test_anchor_from_plan_empty():
+def test_plan_coverage_empty():
     idx = random_index()
-    c0, covered = anchor_from_plan(idx, {})
+    covered = idx.plan_coverage({})
+    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), {}).c0
     assert c0.sum() == 0 and not covered.any()
 
 
-def test_anchor_from_plan_counts():
+def test_plan_coverage_counts():
     idx = random_index(seed=2)
     v = int(idx.pieces[0].promoters[0])
-    c0, covered = anchor_from_plan(idx, {0: {v}})
+    covered = idx.plan_coverage({0: {v}})
+    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), {0: {v}}).c0
     ids = idx.covered_by(0, v)
     assert covered[0, ids].all()
     assert c0.sum() == len(ids)
@@ -54,14 +40,14 @@ def test_tau_of_empty_state_majorizes_au(ratio):
     assert state.tau_scaled() >= estimate_au(idx, plan, m) - 1e-9
 
 
-def test_gains_all_matches_single_gain():
+def test_scan_matches_single_slot_gain():
     idx = random_index(seed=5)
     m = LogisticModel.from_ratio(0.5)
     state = BoundState(idx, m, {})
     for j in range(idx.n_pieces):
-        gains = state.gains_all(j)
+        gains = state.scan([1] * idx.n_pieces)[idx.offsets[j] : idx.offsets[j + 1]]
         for i, v in enumerate(idx.pieces[j].promoters[:10]):
-            assert np.isclose(gains[i], state.gain(j, int(v)))
+            assert np.isclose(gains[i], state.slot_gain(idx.slot(j, int(v))))
 
 
 def test_gain_equals_tau_difference():
@@ -69,23 +55,23 @@ def test_gain_equals_tau_difference():
     idx = random_index(seed=6)
     m = LogisticModel.from_ratio(0.5)
     state = BoundState(idx, m, {})
-    v = int(idx.pieces[1].promoters[3])
-    g = state.gain(1, v)
+    g = idx.slot(1, int(idx.pieces[1].promoters[3]))
+    gain = state.slot_gain(g)
     before = state.tau()
-    state.add(1, v)
-    assert np.isclose(g, state.tau() - before)
+    state.slot_add(g)
+    assert np.isclose(gain, state.tau() - before)
 
 
 def test_add_idempotent():
     idx = random_index(seed=7)
     m = LogisticModel.from_ratio(0.5)
     state = BoundState(idx, m, {})
-    v = int(idx.pieces[0].promoters[0])
-    state.add(0, v)
+    g = idx.slot(0, int(idx.pieces[0].promoters[0]))
+    state.slot_add(g)
     tau1 = state.tau()
-    state.add(0, v)
+    state.slot_add(g)
     assert np.isclose(state.tau(), tau1)
-    assert state.gain(0, v) == 0.0
+    assert state.slot_gain(g) == 0.0
 
 
 def test_submodularity_of_tau():
@@ -100,10 +86,10 @@ def test_submodularity_of_tau():
         for _ in range(2):
             j = int(g.integers(idx.n_pieces))
             v = int(g.choice(idx.pieces[j].promoters))
-            state_big.add(j, v)
+            state_big.slot_add(idx.slot(j, v))
         j = int(g.integers(idx.n_pieces))
-        v = int(g.choice(idx.pieces[j].promoters))
-        assert state_small.gain(j, v) >= state_big.gain(j, v) - 1e-9
+        slot = idx.slot(j, int(g.choice(idx.pieces[j].promoters)))
+        assert state_small.slot_gain(slot) >= state_big.slot_gain(slot) - 1e-9
 
 
 def test_monotonicity_of_tau():
@@ -115,7 +101,7 @@ def test_monotonicity_of_tau():
     for _ in range(10):
         j = int(g.integers(idx.n_pieces))
         v = int(g.choice(idx.pieces[j].promoters))
-        state.add(j, v)
+        state.slot_add(idx.slot(j, v))
         assert state.tau() >= prev - 1e-9
         prev = state.tau()
 
@@ -124,9 +110,9 @@ def test_eval_counter_increments():
     idx = random_index(seed=10)
     m = LogisticModel.from_ratio(0.5)
     state = BoundState(idx, m, {})
-    state.gains_all(0)
+    state.scan([1, 0, 0])
     assert state.evals == len(idx.pieces[0].promoters)
-    state.gain(1, int(idx.pieces[1].promoters[0]))
+    state.slot_gain(idx.slot(1, int(idx.pieces[1].promoters[0])))
     assert state.evals == len(idx.pieces[0].promoters) + 1
 
 
@@ -158,7 +144,7 @@ def _reference_gains(state, piece):
     cov = state.index.pieces[piece]
     w = state.D[state.c0, state.c].copy()
     w[state.covered[piece]] = 0.0
-    return masked_reduceat(w[cov.samples], cov.indptr)
+    return np.add.reduceat(w[cov.samples], cov.indptr[:-1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -176,22 +162,45 @@ def test_state_invariants_after_every_add(seed):
     for _ in range(12):
         j = int(g.integers(idx.n_pieces))
         v = int(g.choice(idx.pieces[j].promoters))  # repeats are no-ops
-        state.add(j, v)
+        state.slot_add(idx.slot(j, v))
         plan.setdefault(j, set()).add(v)
         assert np.array_equal(state.base, state.D[state.c0, state.c])
         assert np.array_equal(state.c, idx.plan_counts(plan))
+        gains = state.scan([1] * idx.n_pieces)
         for jj in range(idx.n_pieces):
-            assert np.array_equal(state.gains_all(jj), _reference_gains(state, jj))
+            lo, hi = idx.offsets[jj], idx.offsets[jj + 1]
+            assert np.array_equal(gains[lo:hi], _reference_gains(state, jj))
 
 
 def test_slot_gain_matches_piece_gain():
     idx = random_index(seed=12)
     m = LogisticModel.from_ratio(0.5)
     state = BoundState(idx, m, _random_plan(idx, np.random.default_rng(0), 3))
+    gains = state.scan([1] * idx.n_pieces)
     for j, cov in enumerate(idx.pieces):
-        for v in cov.promoters:
-            assert state.slot_gain(idx.slot(j, int(v))) == state.gain(j, int(v))
-    assert state.gain(0, idx.n_vertices + 5) == 0.0  # not a promoter
+        for i, v in enumerate(cov.promoters.tolist()):
+            assert state.slot_gain(idx.slot(j, v)) == gains[idx.offsets[j] + i]
+    assert idx.slot(0, idx.n_vertices + 5) == -1  # not a promoter
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_slot_gain_is_scan_bit_for_bit(seed):
+    """A slot's own marginal and the one-pass scan use one arithmetic, so
+    BAB-P's threshold tests see the very numbers BAB's scan ranks by: equal
+    to the last bit for every slot, over anchored states grown by random
+    additions.  Slots of ~50 samples with some covered make a sum that
+    skips the covered samples round differently."""
+    idx = random_index(n_vertices=60, theta=200, n_pieces=3, density=0.25, seed=seed)
+    m = LogisticModel.from_ratio(0.3)
+    g = np.random.default_rng(seed)
+    for trial in range(4):
+        state = BoundState(idx, m, _random_plan(idx, g, 2 + trial))
+        for _ in range(3 * trial):
+            j = int(g.integers(idx.n_pieces))
+            state.slot_add(idx.slot(j, int(g.choice(idx.pieces[j].promoters))))
+        gains = state.scan([1] * idx.n_pieces)
+        singles = np.array([state.slot_gain(s) for s in range(len(idx.piece))])
+        assert singles.tobytes() == gains.tobytes()
 
 
 def test_scan_counts_pieces_with_available_slots():

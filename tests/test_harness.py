@@ -1,6 +1,9 @@
 """Integration tests: the experiment harness on the tiny test graph."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,29 @@ def test_index_restricted_to_pool(prepared_test_graph):
     pool = set(promoter_pool(TEST_GRAPH).tolist())
     for cov in prepared_test_graph.index.pieces:
         assert set(cov.promoters.tolist()) <= pool
+
+
+def _perfbench_checks():
+    """perfbench/checks.py, loaded by path: the benchmark is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_index_views_pass_perfbench_check(prepared_test_graph):
+    """The benchmark checks ``index.pieces + [im_cov]`` (promoters, indptr
+    from 0, samples per piece) against a pandas pivot of the membership
+    table; the per-piece views of the slot CSR must keep passing it."""
+    from repro.graphs.generator import promoter_pool
+
+    prep = prepared_test_graph
+    assert isinstance(prep.index.pieces, list)
+    memb = prep.mrr_df.toPandas()
+    _perfbench_checks().check_index(
+        prep.index.pieces + [prep.im_cov], memb, promoter_pool(TEST_GRAPH)
+    )
 
 
 def test_run_methods_rows(prepared_test_graph):

@@ -40,12 +40,14 @@ def test_csr_layout_consistency():
     idx = random_index(seed=3)
     for cov in idx.pieces:
         assert len(cov.indptr) == len(cov.promoters) + 1
-        assert cov.indptr[-1] == len(cov.samples)
+        assert cov.indptr[0] == 0 and cov.indptr[-1] == len(cov.samples)
         assert np.all(np.diff(cov.indptr) >= 0)
         # per-promoter sample lists are sorted and unique
         for i in range(len(cov.promoters)):
             seg = cov.samples[cov.indptr[i] : cov.indptr[i + 1]]
             assert np.all(np.diff(seg) > 0)
+    # every slot covers at least one sample
+    assert np.all(np.diff(idx.indptr) > 0) and idx.indptr[-1] == len(idx.samples)
 
 
 def test_plan_counts_matches_bruteforce():
@@ -85,6 +87,7 @@ def test_build_index_matches_from_sets(spark):
         assert np.array_equal(got.pieces[j].promoters, want.pieces[j].promoters)
         for v in got.pieces[j].promoters:
             assert np.array_equal(got.covered_by(j, v), want.covered_by(j, v))
+    assert np.all(np.diff(got.indptr) > 0)
 
 
 def test_build_index_coverage_counts_oracle(spark):
@@ -115,17 +118,17 @@ def test_index_mismatched_theta_raises():
 
 def test_slot_layout_matches_pieces():
     """Slot g = offsets[j] + i is promoter i of piece j, over the same
-    samples as the piece's own CSR."""
+    samples as the piece's own CSR view."""
     idx = random_index(n_vertices=30, theta=40, n_pieces=3, seed=5)
-    s = idx.slots
-    assert len(s.piece) == len(s.promoter) == len(s.covers) == len(s.indptr) - 1
+    assert len(idx.piece) == len(idx.promoter) == len(idx.covers) == len(idx.indptr) - 1
     for j, cov in enumerate(idx.pieces):
         for i, v in enumerate(cov.promoters.tolist()):
             g = idx.slot(j, v)
-            assert g == s.offsets[j] + i and s.piece[g] == j and s.promoter[g] == v
-            assert np.array_equal(s.covers[g], cov.covered_by(v))
-            lo, hi = s.indptr[g], s.indptr[g + 1]
-            assert np.array_equal(s.cells[lo:hi], j * idx.theta + cov.covered_by(v))
+            assert g == idx.offsets[j] + i and idx.piece[g] == j and idx.promoter[g] == v
+            seg = cov.samples[cov.indptr[i] : cov.indptr[i + 1]]
+            assert np.array_equal(idx.covers[g], seg)
+            lo, hi = idx.indptr[g], idx.indptr[g + 1]
+            assert np.array_equal(idx.cells[lo:hi], j * idx.theta + seg)
     assert idx.slot(0, 10_000) == -1
 
 
@@ -138,13 +141,20 @@ def test_slot_layout_of_subset():
     assert np.array_equal(sub.covered_by(1, v), idx.covered_by(0, v))
 
 
-def test_slot_layout_rejects_promoter_without_samples():
-    from repro.diffusion.mrr import MRRIndex, PieceCoverage
-
-    cov = PieceCoverage(
-        promoters=np.array([1, 2], dtype=np.int32),
-        indptr=np.array([0, 1, 1], dtype=np.int64),
-        samples=np.array([0], dtype=np.int32),
-    )
-    with pytest.raises(ValueError, match="at least one sample"):
-        MRRIndex(n_vertices=3, theta=1, n_pieces=1, promoter_pool=cov.promoters, pieces=[cov])
+def test_find_slots_matches_bruteforce():
+    """The vectorized lookup agrees with a scan over every slot, and gives
+    −1 for non-promoters of a piece and for vertices outside the pool,
+    including ids outside [0, n) whose key would alias another piece."""
+    pool = np.array([1, 4, 5, 8, 11, 12, 17, 19])
+    idx = random_index(n_vertices=20, theta=30, n_pieces=3, density=0.2, seed=9, pool=pool)
+    pieces, vertices = np.meshgrid(np.arange(3), np.arange(-21, 41), indexing="ij")
+    got = idx.find_slots(pieces.ravel(), vertices.ravel())
+    want = [
+        next((g for g in range(len(idx.piece)) if idx.piece[g] == j and idx.promoter[g] == v), -1)
+        for j, v in zip(pieces.ravel().tolist(), vertices.ravel().tolist())
+    ]
+    assert got.tolist() == want
+    assert (got >= 0).sum() == len(idx.piece)
+    assert np.isin(vertices.ravel()[got >= 0], pool).all()
+    plan = {0: {int(idx.pieces[0].promoters[0]), 2, 100}, 2: {int(idx.pieces[2].promoters[-1])}}
+    assert idx.plan_slots(plan).tolist() == [0, len(idx.piece) - 1]
