@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class BABResult:
     evals: int
     seconds: float
     method: str = "BAB"
-    extra: dict = field(default_factory=dict)
     # Why the search stopped: "gap" (U − L within gap_tol), "exhausted"
     # (heap empty) or "max_pops" (backstop reached with the heap non-empty).
     stop_reason: str = ""
@@ -145,6 +144,5 @@ def branch_and_bound(
         evals=stats.evals,
         seconds=time.perf_counter() - t0,
         method="BAB-P" if progressive else "BAB",
-        extra={"eps": eps} if progressive else {},
         stop_reason=stop_reason,
     )

@@ -10,12 +10,13 @@ The sampler is the RR-set construction of Borgs et al. (SODA'14) and IMM
 (Tang et al., SIGMOD'15): a reverse BFS per sample.  Its input is the
 per-piece relation that ``topics.edges_by_piece`` derives on the driver (a
 local relation, so collecting it moves no data off the driver).  The driver
-builds one reverse CSR per piece (in-edges grouped by ``dst``) and
-broadcasts them.
-``roots.mapInArrow`` then runs, in each task, a level-synchronous numpy BFS
-for every piece over the task's slice of roots and emits (piece, sample_id,
-vertex) batches; the result is checkpointed locally, once.  The BFS runs
-until the frontier is empty (at most n levels), so no RR set is truncated.
+builds one reverse CSR over all pieces, keyed by (piece, dst), and
+broadcasts it.  ``roots.mapInArrow`` then runs, once per Arrow batch of
+roots, one level-synchronous numpy BFS over every (piece, root) pair and
+emits (piece, sample_id, vertex) rows; the result is checkpointed locally,
+once.  The visited set is a sorted array of (pair, vertex) keys, so nothing
+is sized by the vertex count n.  The BFS runs until the frontier is empty,
+so no RR set is truncated.
 
 Edge e = (src, dst) is live in sample i of piece j iff
 ``xxhash64(seed, j, i, src, dst) mod 2^24 / 2^24 < p(t_j, e)``, where
@@ -47,8 +48,8 @@ _PRIME2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _PRIME3 = np.uint64(0x165667B19E3779F9)
 _PRIME5 = np.uint64(0x27D4EB2F165667C5)
 _XXHASH64_SEED = 42
-# Upper bound on one BFS chunk's visited bitmap (samples × vertices).
-_BFS_CELLS = 1 << 22
+# Vertex ids fill the low 31 bits of a BFS key.
+_VERTEX_MASK = (1 << 31) - 1
 
 ROOTS_SCHEMA = T.StructType(
     [
@@ -104,96 +105,75 @@ def xxhash64_coin(*keys) -> np.ndarray:
     return (h & np.uint64(_COIN_MOD - 1)).astype(np.float64) / _COIN_MOD
 
 
-def reverse_csrs(
-    edges: pd.DataFrame, n_pieces: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One reverse CSR per piece from (piece, src, dst, p) rows: the in-edges
-    of v in piece j are ``src[indptr[v]:indptr[v+1]]`` with probabilities
-    ``p[indptr[v]:indptr[v+1]]``.  Every ``indptr`` spans the same vertex
-    range, 0 .. the largest id in ``edges``."""
-    piece = edges["piece"].to_numpy()
+def reverse_csr(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One reverse CSR over every piece from (piece, src, dst, p) rows.
+
+    A node is keyed ``piece << 31 | dst``; ``keys`` holds the sorted keys of
+    the nodes that have in-edges, then the sentinel ``int64.max``, so a
+    ``searchsorted`` of any node lands in range.  The in-edges of node
+    ``keys[i]`` are ``src[indptr[i]:indptr[i+1]]`` with probabilities
+    ``p[indptr[i]:indptr[i+1]]``, in ``edges`` order; the sentinel has none.
+    """
     src = edges["src"].to_numpy(np.int32)
     dst = edges["dst"].to_numpy(np.int64)
-    p = edges["p"].to_numpy(np.float64)
-    n = int(max(src.max(), dst.max())) + 1 if len(edges) else 0
-    csrs = []
-    for j in range(n_pieces):
-        mine = piece == j
-        order = np.argsort(dst[mine], kind="stable")
-        indptr = np.searchsorted(dst[mine][order], np.arange(n + 1))
-        csrs.append((indptr, src[mine][order], p[mine][order]))
-    return csrs
+    if len(edges) and min(src.min(), dst.min()) < 0:
+        raise ValueError("edge endpoints must be non-negative vertex ids")
+    key = edges["piece"].to_numpy(np.int64) << 31 | dst
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    return (
+        np.append(keys, np.iinfo(np.int64).max),
+        np.append(starts, [len(key), len(key)]),
+        src[order],
+        edges["p"].to_numpy(np.float64)[order],
+    )
 
 
-def _reverse_bfs(
-    indptr: np.ndarray,
-    src: np.ndarray,
-    p: np.ndarray,
-    *,
-    seed: int,
-    piece: int,
-    sample_ids: np.ndarray,
-    roots: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The RR sets of ``roots[i]`` in sample ``sample_ids[i]`` for all i at
-    once, one BFS level per iteration; returns their (sample_id, vertex)
-    memberships.  ``indptr`` must cover every root."""
-    n = len(indptr) - 1
-    visited = np.zeros(len(roots) * n, dtype=bool)
-    row = np.arange(len(roots), dtype=np.int64)  # index into roots/sample_ids
-    vert = roots.astype(np.int64)
-    visited[row * n + vert] = True
-    rows, verts = [row], [vert]
-    while row.size:
-        start = indptr[vert]
-        deg = indptr[vert + 1] - start
-        total = int(deg.sum())
-        # Positions of every in-edge of every frontier vertex, in CSR order.
-        pos = np.arange(total) + np.repeat(start - (np.cumsum(deg) - deg), deg)
-        row = np.repeat(row, deg)
-        u = src[pos]
-        live = xxhash64_coin(seed, piece, sample_ids[row], u, np.repeat(vert, deg)) < p[pos]
-        key = np.unique(row[live] * n + u[live])
-        key = key[~visited[key]]
-        visited[key] = True
-        row, vert = np.divmod(key, n)
-        rows.append(row)
-        verts.append(vert)
-    row = np.concatenate(rows)
-    return sample_ids[row], np.concatenate(verts).astype(np.int32)
+def _reverse_bfs(csr, seed: int, n_pieces: int, sample_ids: np.ndarray, roots: np.ndarray):
+    """The RR sets of every (piece, root) pair at once, one BFS level per
+    iteration.  Row r is piece ``r // m`` and root ``r % m`` (m roots);
+    returns the sorted visited keys ``r << 31 | v``."""
+    keys, indptr, src, p = csr
+    m = len(roots)
+    row = np.arange(n_pieces * m, dtype=np.int64)
+    visited = row << 31 | np.tile(roots.astype(np.int64), n_pieces)
+    frontier = visited
+    while frontier.size:
+        row, vert = frontier >> 31, frontier & _VERTEX_MASK
+        node = (row // m) << 31 | vert
+        pos = np.searchsorted(keys, node)
+        start = indptr[pos]
+        deg = np.where(keys[pos] == node, indptr[pos + 1] - start, 0)
+        # Positions of every in-edge of every frontier node, in CSR order.
+        at = np.arange(deg.sum()) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+        row, u = np.repeat(row, deg), src[at]
+        live = xxhash64_coin(seed, row // m, sample_ids[row % m], u, np.repeat(vert, deg)) < p[at]
+        reached = np.unique(row[live] << 31 | u[live])
+        i = np.searchsorted(visited, reached)
+        new = visited[np.minimum(i, len(visited) - 1)] != reached
+        frontier = reached[new]
+        visited = np.insert(visited, i[new], frontier)
+    return visited
 
 
-def mrr_batches(csrs, seed: int):
+def mrr_batches(csr, seed: int, n_pieces: int):
     """The ``mapInArrow`` function of :func:`sample_mrr_sets`: Arrow batches
     of (sample_id, vertex) roots in, (piece, sample_id, vertex) memberships
-    out.  ``csrs.value`` is :func:`reverse_csrs`'s list (a Spark broadcast)."""
+    out.  ``csr.value`` is :func:`reverse_csr`'s tuple (a Spark broadcast)."""
     schema = pa.schema([(f.name, pa.int32(), False) for f in MRR_SCHEMA.fields])
 
     def run(batches):
-        pieces = csrs.value
         for batch in batches:
             sample_ids = batch.column("sample_id").to_numpy().astype(np.int32)
             roots = batch.column("vertex").to_numpy().astype(np.int32)
             if not len(roots):
                 continue
-            n = max(len(pieces[0][0]) - 1, int(roots.max()) + 1)
-            step = max(1, _BFS_CELLS // n)
-            for j, (indptr, src, p) in enumerate(pieces):
-                indptr = np.pad(indptr, (0, n + 1 - len(indptr)), mode="edge")
-                for lo in range(0, len(roots), step):
-                    ids, verts = _reverse_bfs(
-                        indptr,
-                        src,
-                        p,
-                        seed=seed,
-                        piece=j,
-                        sample_ids=sample_ids[lo : lo + step],
-                        roots=roots[lo : lo + step],
-                    )
-                    yield pa.RecordBatch.from_arrays(
-                        [pa.array(np.full(len(ids), j, dtype=np.int32)), pa.array(ids), pa.array(verts)],
-                        schema=schema,
-                    )
+            if roots.min() < 0:
+                raise ValueError("roots must be non-negative vertex ids")
+            visited = _reverse_bfs(csr.value, seed, n_pieces, sample_ids, roots)
+            row = visited >> 31
+            cols = (row // len(roots), sample_ids[row % len(roots)], visited & _VERTEX_MASK)
+            yield pa.RecordBatch.from_arrays([pa.array(c.astype(np.int32)) for c in cols], schema=schema)
 
     return run
 
@@ -219,12 +199,12 @@ def sample_mrr_sets(
     if not np.iinfo(np.int32).min <= seed <= np.iinfo(np.int32).max:
         raise ValueError(f"seed {seed} is outside the int32 range the coins hash")
     edges = edges_by_piece.select("piece", "src", "dst", "p").toPandas()
-    csrs = spark.sparkContext.broadcast(reverse_csrs(edges, n_pieces))
+    csr = spark.sparkContext.broadcast(reverse_csr(edges))
     out = (
         roots.select("sample_id", "vertex")
-        .mapInArrow(mrr_batches(csrs, seed), MRR_SCHEMA)
+        .mapInArrow(mrr_batches(csr, seed, n_pieces), MRR_SCHEMA)
         .localCheckpoint(eager=True)
     )
-    csrs.unpersist()
+    csr.unpersist()
     return out
 

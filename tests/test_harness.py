@@ -113,7 +113,7 @@ def test_plan_utility_consistent_spark_numpy(spark, prepared_test_graph):
         res.plan,
         m,
         n_vertices=TEST_GRAPH.n,
-        theta=prep.theta,
+        theta=prep.index.theta,
     )
     assert np.isclose(u_np, u_sp)
     assert np.isclose(u_np, res.utility)

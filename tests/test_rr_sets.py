@@ -7,6 +7,7 @@ for bit against Spark SQL's ``xxhash64``.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -24,7 +25,7 @@ from pyspark.sql import functions as F
 from repro.diffusion.mrr import build_index
 from repro.diffusion.rr_sets import (
     mrr_batches,
-    reverse_csrs,
+    reverse_csr,
     sample_mrr_sets,
     sample_roots,
     xxhash64_coin,
@@ -228,14 +229,9 @@ def test_worker_runs_without_the_package(tmp_path):
             "p": g.uniform(0.1, 0.6, m),
         }
     )
-    csrs = types.SimpleNamespace(value=reverse_csrs(edges, 2))
-    fn = mrr_batches(csrs, 5)
-    batch = pa.RecordBatch.from_pydict(
-        {
-            "sample_id": pa.array(np.arange(40, dtype=np.int32)),
-            "vertex": pa.array(g.integers(0, n + 5, 40).astype(np.int32)),
-        }
-    )
+    csr = types.SimpleNamespace(value=reverse_csr(edges))
+    fn = mrr_batches(csr, 5, 2)
+    batch = _roots_batch(g.integers(0, n + 5, 40))
     script = (
         "import pickle, sys\n"
         "sys.modules['repro'] = None  # importing the package now fails\n"
@@ -257,3 +253,40 @@ def test_worker_runs_without_the_package(tmp_path):
     local = pa.Table.from_batches(list(fn(iter([batch]))))
     assert remote.equals(local)
     assert local.num_rows > 2 * 40  # some RR sets grew beyond their roots
+
+
+def _roots_batch(vertices) -> pa.RecordBatch:
+    return pa.RecordBatch.from_pydict(
+        {
+            "sample_id": pa.array(np.arange(len(vertices), dtype=np.int32)),
+            "vertex": pa.array(np.asarray(vertices, dtype=np.int32)),
+        }
+    )
+
+
+def test_negative_root_rejected():
+    """A BFS key packs the vertex into 31 bits: a negative root is an error."""
+    edges = pd.DataFrame({"piece": [0], "src": [0], "dst": [1], "p": [1.0]})
+    fn = mrr_batches(types.SimpleNamespace(value=reverse_csr(edges)), 5, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        list(fn(iter([_roots_batch([1, -1])])))
+
+
+def test_negative_edge_endpoint_rejected():
+    for src, dst in ((-1, 1), (0, -2)):
+        edges = pd.DataFrame({"piece": [0, 0], "src": [0, src], "dst": [1, dst], "p": [0.5, 0.5]})
+        with pytest.raises(ValueError, match="non-negative"):
+            reverse_csr(edges)
+
+
+# sha256 of the test graph's sketch (n_pieces=3, θ=300, seed=77): its
+# (piece, sample_id, vertex) rows sorted by those columns, as a row-major
+# int64 array.  Any change to roots, coins or the BFS moves it.
+TEST_GRAPH_SKETCH_SHA256 = "dfd4c17e4c023bad8d2efc222b9919c6a6944d8305b5469b4fffdd22d7d3c17f"
+
+
+def test_sketch_pinned(prepared_test_graph):
+    key = ["piece", "sample_id", "vertex"]
+    rows = prepared_test_graph.mrr_df.toPandas().sort_values(key)[key].to_numpy(np.int64)
+    assert len(rows) == 2125
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == TEST_GRAPH_SKETCH_SHA256

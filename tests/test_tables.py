@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments.tables import (
     FULL,
-    PAPER_REFERENCE,
     Scale,
     TABLES,
     eps_sweep_rows,
@@ -53,10 +52,6 @@ def test_registry_complete():
 def test_scales_sane():
     for s in (FULL, MICRO):
         assert s.theta > 0 and s.k_values and s.datasets
-
-
-def test_paper_reference_covers_result_tables():
-    assert set(PAPER_REFERENCE) == {"eps_sweep", "vary_k", "vary_l", "vary_ratio"}
 
 
 def test_table3(spark):
