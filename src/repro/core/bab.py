@@ -8,7 +8,7 @@ global lower bound L.  The search terminates when the relative gap
 ratio"), when the heap runs empty with every entry explored (gap 0), or at
 the ``max_pops`` backstop; ``BABResult.stop_reason`` records which.
 The backstop is reached: at β/α=0.3 three rows of results/vary_ratio.md
-stop at 500 pops with gaps of 3–14%.  The achieved gap is always reported,
+read ``max_pops``, with gaps of 3–14%.  The achieved gap is always reported,
 but U is the greedy τ of Algorithm 2, which is (1−1/e)-close to max τ and
 not an upper bound on OPT, so the gap is not a certified optimality gap.
 
@@ -130,8 +130,8 @@ def branch_and_bound(
 
     if stop_reason == "exhausted" and pops > 0:
         upper = best_lower  # every subspace explored: the bound is tight
-    elif heap:
-        upper = max(upper, -heap[0][0]) if pops >= max_pops else upper
+    elif stop_reason == "max_pops":
+        upper = max(upper, -heap[0][0])
     upper = max(upper, best_lower)
     gap = (upper - best_lower) / max(upper, 1e-12)
     return BABResult(

@@ -1,6 +1,8 @@
-"""Table generators — one per evaluation table (DESIGN.md §4).
+"""Table generators for the evaluation tables (DESIGN.md §4).
 
-Each function returns a list of row dicts; `rows_to_markdown` renders them
+`table3_rows` reproduces Table III; `sweep_rows` reproduces Figs 3–6, one
+sweep per `SWEEPS` entry.  `TABLES` maps each table name to its generator,
+which returns a list of row dicts; `rows_to_markdown` renders them
 for EXPERIMENTS.md.  `Scale` bundles the sweep resolution: ``jobs/run.py``
 runs every table at `FULL`, and the tests at a micro scale of their own.
 The paper's reference numbers sit beside the measured ones in EXPERIMENTS.md.
@@ -8,21 +10,14 @@ The paper's reference numbers sit beside the measured ones in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from pyspark.sql import SparkSession
 
 from repro.core.bab import MAX_POPS
 from repro.graphs.datasets import DATASETS, TEST_GRAPH
 
-from .harness import (
-    ALL_METHODS,
-    DEFAULT_EPS,
-    DEFAULT_K,
-    DEFAULT_L,
-    DEFAULT_RATIO,
-    prepare,
-    run_methods,
-)
+from .harness import ALL_METHODS, DEFAULT_L, prepare, run_methods
 
 
 @dataclass(frozen=True)
@@ -79,73 +74,44 @@ def table3_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
     return rows
 
 
-def eps_sweep_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
-    """Fig 3: BAB-P utility vs ε (defaults k=50, ℓ=3, β/α=0.5)."""
+# Figs 3–6 each sweep one Table IV parameter over the datasets, the others
+# at their defaults.  Table name → (axis, methods): the axis names the row
+# column, the ``Scale.<axis>_values`` field and the swept parameter.
+SWEEPS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "eps_sweep": ("eps", ("BAB-P",)),  # Fig 3: BAB-P utility vs ε
+    "vary_k": ("k", ALL_METHODS),  # Fig 4: utility and search time vs k
+    "vary_l": ("l", ALL_METHODS),  # Fig 5: utility vs number of pieces ℓ
+    "vary_ratio": ("ratio", ALL_METHODS),  # Fig 6: utility vs β/α
+}
+
+
+def sweep_rows(spark: SparkSession, scale: Scale = FULL, *, table: str) -> list[dict]:
+    """One row per (dataset, value of the table's axis, method), in that order.
+
+    ℓ is the only axis that changes the sketch; for the others ``prepare``'s
+    cache hands back one sketch per dataset.  Each row carries the swept
+    value under the axis name (``eps`` becomes the last column).
+    """
+    axis, methods = SWEEPS[table]
     rows = []
     for name in scale.datasets:
-        prep = prepare(
-            spark, DATASETS[name], n_pieces=DEFAULT_L, theta=scale.theta, seed=scale.seed
-        )
-        for eps in scale.eps_values:
-            rows += run_methods(
-                prep,
-                k=DEFAULT_K,
-                eps=eps,
-                methods=("BAB-P",),
-                max_pops=scale.max_pops,
-            )
-            rows[-1]["eps"] = eps
-    return rows
-
-
-def vary_k_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
-    """Fig 4: utility and search time vs k, all four methods."""
-    rows = []
-    for name in scale.datasets:
-        prep = prepare(
-            spark, DATASETS[name], n_pieces=DEFAULT_L, theta=scale.theta, seed=scale.seed
-        )
-        for k in scale.k_values:
-            rows += run_methods(
-                prep, k=k, methods=ALL_METHODS, max_pops=scale.max_pops
-            )
-    return rows
-
-
-def vary_l_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
-    """Fig 5: utility and search time vs number of viral pieces ℓ."""
-    rows = []
-    for name in scale.datasets:
-        for l in scale.l_values:
+        for value in getattr(scale, f"{axis}_values"):
             prep = prepare(
-                spark, DATASETS[name], n_pieces=l, theta=scale.theta, seed=scale.seed
+                spark,
+                DATASETS[name],
+                n_pieces=value if axis == "l" else DEFAULT_L,
+                theta=scale.theta,
+                seed=scale.seed,
             )
-            rows += run_methods(
-                prep, k=DEFAULT_K, methods=ALL_METHODS, max_pops=scale.max_pops
-            )
-    return rows
-
-
-def vary_ratio_rows(spark: SparkSession, scale: Scale = FULL) -> list[dict]:
-    """Fig 6: utility vs β/α, all four methods."""
-    rows = []
-    for name in scale.datasets:
-        prep = prepare(
-            spark, DATASETS[name], n_pieces=DEFAULT_L, theta=scale.theta, seed=scale.seed
-        )
-        for ratio in scale.ratio_values:
-            rows += run_methods(
-                prep, k=DEFAULT_K, ratio=ratio, methods=ALL_METHODS, max_pops=scale.max_pops
-            )
+            kw = {} if axis == "l" else {axis: value}
+            cell = run_methods(prep, methods=methods, max_pops=scale.max_pops, **kw)
+            rows += [dict(r, **{axis: value}) for r in cell]
     return rows
 
 
 TABLES = {
     "table3": table3_rows,
-    "eps_sweep": eps_sweep_rows,
-    "vary_k": vary_k_rows,
-    "vary_l": vary_l_rows,
-    "vary_ratio": vary_ratio_rows,
+    **{name: partial(sweep_rows, table=name) for name in SWEEPS},
 }
 
 

@@ -25,6 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+# Exponent of the zipf rank distributions that endpoints are drawn from.
+ZIPF_EXPONENT = 0.9
+# Share of V that forms the promoter pool V^p (§VI-A: 10%).
+PROMOTER_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -44,9 +49,7 @@ class GraphConfig:
     n_topics: int
     topics_per_edge: tuple[int, int]
     seed: int
-    zipf_exponent: float = 0.9
     prob_gain: float = 1.0
-    promoter_fraction: float = 0.1
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -62,7 +65,7 @@ def social_graph_pandas(cfg: GraphConfig) -> pd.DataFrame:
     correlating a vertex's fan-in with its fan-out.
     """
     g = np.random.default_rng(cfg.seed)
-    w = _zipf_weights(cfg.n, cfg.zipf_exponent)
+    w = _zipf_weights(cfg.n, ZIPF_EXPONENT)
     out_rank = g.permutation(cfg.n)
     in_rank = g.permutation(cfg.n)
     # Oversample so the target edge count survives dedup + self-loop removal.
@@ -100,5 +103,5 @@ def social_graph_pandas(cfg: GraphConfig) -> pd.DataFrame:
 def promoter_pool(cfg: GraphConfig) -> np.ndarray:
     """The eligible-promoter set V^p: a seeded uniform sample of ~10% of V (§VI-A)."""
     g = np.random.default_rng(cfg.seed + 7919)
-    size = max(1, int(cfg.n * cfg.promoter_fraction))
+    size = max(1, int(cfg.n * PROMOTER_FRACTION))
     return np.sort(g.choice(cfg.n, size=size, replace=False)).astype(np.int32)

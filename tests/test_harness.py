@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.core.adoption import LogisticModel, estimate_au, estimate_au_spark
 from repro.experiments.harness import ALL_METHODS, prepare, run_methods
 from repro.graphs.datasets import TEST_GRAPH
+from repro.graphs.generator import social_graph_pandas
 
 
 def test_prepare_shapes(prepared_test_graph):
@@ -26,6 +28,17 @@ def test_prepare_shapes(prepared_test_graph):
 def test_prepare_cached(spark, prepared_test_graph):
     again = prepare(spark, TEST_GRAPH, n_pieces=3, theta=300, seed=77)
     assert again is prepared_test_graph
+
+
+@pytest.mark.parametrize("change", [{"n": 200}, {"m": 300}], ids=["n", "m"])
+def test_prepare_cache_keys_on_whole_config(spark, prepared_test_graph, change):
+    """A config with the cached one's name and seed but another size is a
+    different graph, so it gets its own sketch rather than the cached one."""
+    cfg = replace(TEST_GRAPH, **change)
+    prep = prepare(spark, cfg, n_pieces=3, theta=300, seed=77)
+    assert prep is not prepared_test_graph
+    assert prep.graph_cfg == cfg
+    assert prep.edge_count == len(social_graph_pandas(cfg))
 
 
 def test_index_restricted_to_pool(prepared_test_graph):
@@ -68,6 +81,9 @@ def test_run_methods_rows(prepared_test_graph):
         assert r["assignments"] <= 5
         assert r["dataset"] == "test_graph"
         assert r["k"] == 5 and r["l"] == 3
+    searched = {"gap", "exhausted", "max_pops"}
+    assert [r["stop_reason"] in searched for r in rows] == [False, False, True, True]
+    assert rows[0]["stop_reason"] == rows[1]["stop_reason"] == ""
 
 
 def test_bab_at_least_baselines(prepared_test_graph):
