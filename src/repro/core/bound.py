@@ -110,7 +110,7 @@ def compute_bound(
             break
         state.slot_add(g)
         avail[g] = False
-        n_avail[index.piece[g]] -= 1
+        n_avail[index.slot_pieces[g]] -= 1
 
     return _result(state, partial_plan, state.tau_scaled(), stats)
 

@@ -7,6 +7,11 @@ the per-sample weights ``base = D[c₀, c]``, the marginal bound gain of
 covering a sample once more (D is the delta table of the anchored
 envelope).  The running bound value is τ = Σ_i G[c₀_i, c_i].
 
+Each sample's (c₀, c) pair is kept as one flat position ``k = c₀·(ℓ+1) + c``
+into the raveled G and D, so ``base`` and τ are 1-D gathers ``D[k]`` and
+``G[k]`` rather than 2-D fancy lookups; a greedy addition increments k, and
+c is read back as ``k − (ℓ+1)·c₀``.
+
 Candidates are the slots of the :class:`~repro.diffusion.mrr.MRRIndex`:
 every (piece, promoter) pair of all ℓ pieces in one CSR.  One pass scores
 every slot: ``where(covered[piece, sample], 0, base[sample])`` over all
@@ -35,20 +40,25 @@ class BoundState:
         self.index = index
         self.model = model
         self.G, self.D = bound_tables(model, index.n_pieces)
+        self._G, self._D = self.G.ravel(), self.D.ravel()  # indexed by k
         # The Fig-2 refinement state: which pieces of S̄a reach each sample.
         self.covered = index.plan_coverage(partial_plan)
         self.c0 = self.covered.sum(axis=0)
         self._covered_cells = self.covered.reshape(-1)  # view, indexed by slot cells
-        self.c = self.c0.copy()
-        self.base = self.D[self.c0, self.c]
-        self._piece_sizes = np.diff(index.offsets).tolist()
+        self.k = self.c0 * (index.n_pieces + 2)  # flat (c₀, c) with c = c₀
+        self.base = self._D[self.k]
         self.added: list[int] = []  # slots added, in order
         self.evals = 0  # number of τ-marginal evaluations (promoters scored)
+
+    @property
+    def c(self) -> np.ndarray:
+        """Per-sample piece counts after the greedy additions."""
+        return self.k - (self.index.n_pieces + 1) * self.c0
 
     # -- bound value ---------------------------------------------------
     def tau(self) -> float:
         """Unscaled τ = Σ_i G[c₀_i, c_i] (multiply by n/θ for AU units)."""
-        return float(self.G[self.c0, self.c].sum())
+        return float(self._G[self.k].sum())
 
     def tau_scaled(self) -> float:
         return self.index.n_vertices / self.index.theta * self.tau()
@@ -59,8 +69,8 @@ class BoundState:
         Counts one evaluation per promoter of every piece j with an
         available slot (``n_avail[j] > 0``) — the 'scan all candidates' cost
         of plain ComputeBound."""
-        self.evals += sum(p for p, a in zip(self._piece_sizes, n_avail) if a)
         idx = self.index
+        self.evals += sum(p for p, a in zip(idx.piece_sizes, n_avail) if a)
         vals = np.where(self._covered_cells[idx.cells], 0.0, self.base[idx.samples])
         return np.add.reduceat(vals, idx.indptr[:-1])
 
@@ -73,17 +83,17 @@ class BoundState:
         """
         self.evals += 1
         ids = self.index.covers[g]
-        vals = np.where(self.covered[self.index.piece[g]][ids], 0.0, self.base[ids])
+        vals = np.where(self.covered[self.index.slot_pieces[g]][ids], 0.0, self.base[ids])
         return float(np.add.reduceat(vals, [0])[0])
 
     # -- mutation ------------------------------------------------------
     def slot_add(self, g: int) -> None:
         """Add slot ``g`` to the plan, updating only the newly covered samples."""
         self.added.append(g)
-        covered = self.covered[self.index.piece[g]]
+        covered = self.covered[self.index.slot_pieces[g]]
         ids = self.index.covers[g]
         fresh = ids[~covered[ids]]
         covered[fresh] = True
-        c = self.c[fresh] + 1
-        self.c[fresh] = c
-        self.base[fresh] = self.D[self.c0[fresh], c]
+        k = self.k[fresh] + 1
+        self.k[fresh] = k
+        self.base[fresh] = self._D[k]

@@ -6,9 +6,12 @@ index restricts it to the promoter pool V^p and sorts it into one CSR over
 and covers ``samples[indptr[g]:indptr[g+1]]``.  Slots are piece-major, so
 piece j's slots are ``offsets[j]:offsets[j+1]`` and a greedy step scores
 every (piece, promoter) pair in one ``np.add.reduceat``.  The per-piece
-CSRs (:class:`PieceCoverage`) are views of the same arrays.  Everything
-the branch-and-bound needs is in this object; the raw DataFrame stays
-available for Spark-side AU evaluation and oracle checks.
+CSRs (:class:`PieceCoverage`) are views of the same arrays.  Every array
+the search indexes other arrays with (``samples``, ``cells``, ``indptr``)
+is ``np.intp``, numpy's native index type, so no gather converts its index
+on each call.  Everything the branch-and-bound needs is in this object;
+the raw DataFrame stays available for Spark-side AU evaluation and oracle
+checks.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ class PieceCoverage:
     ``samples[indptr[i]:indptr[i+1]]``."""
 
     promoters: np.ndarray  # (P,) int32, sorted promoter vertex ids
-    indptr: np.ndarray  # (P+1,) int64, from 0
-    samples: np.ndarray  # concatenated sample ids, int32
+    indptr: np.ndarray  # (P+1,) intp, from 0
+    samples: np.ndarray  # concatenated sample ids, intp
 
 
 class MRRIndex:
@@ -33,7 +36,8 @@ class MRRIndex:
 
     Built from membership rows (piece, sample_id, vertex): the rows whose
     vertex is in the pool, sorted by (piece, vertex, sample_id), are the
-    slot CSR.  Every slot covers at least one sample.
+    slot CSR.  Every slot covers at least one sample.  ``samples`` and its
+    views (``covers[g]``, ``pieces[j].samples``) are ``np.intp``.
     """
 
     def __init__(
@@ -55,11 +59,17 @@ class MRRIndex:
         self.keys, lens = np.unique(keys, return_counts=True)  # (S,) sorted slot keys
         self.piece = self.keys // n_vertices  # (S,) int64, piece of each slot
         self.promoter = (self.keys % n_vertices).astype(np.int32)  # (S,) vertex of each slot
-        self.indptr = np.concatenate(([0], np.cumsum(lens)))  # (S+1,) int64
-        self.samples = sample_id[rows].astype(np.int32)  # (E,) covered sample ids
+        # (S+1,) slot boundaries
+        self.indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.intp, copy=False)
+        self.samples = sample_id[rows].astype(np.intp)  # (E,) covered sample ids
         # piece·θ + sample: each entry's cell of a flat (ℓ, θ) mask.
-        self.cells = np.repeat(self.piece, lens) * theta + self.samples
+        cells = np.repeat(self.piece, lens) * theta + self.samples
+        self.cells = cells.astype(np.intp, copy=False)
         self.offsets = np.searchsorted(self.piece, np.arange(n_pieces + 1))  # (ℓ+1,)
+        # Read per greedy step as Python ints: piece j's slot count and the
+        # piece of each slot.
+        self.piece_sizes = np.diff(self.offsets).tolist()
+        self.slot_pieces = self.piece.tolist()
         # Per-slot views of ``samples``: indexing a list beats slicing by indptr.
         self.covers = [self.samples[a:b] for a, b in zip(self.indptr[:-1], self.indptr[1:])]
         self.pieces = [
@@ -98,7 +108,7 @@ class MRRIndex:
 
     def covered_by(self, piece: int, v: int) -> np.ndarray:
         g = self.slot(piece, v)
-        return self.covers[g] if g >= 0 else np.empty(0, dtype=np.int32)
+        return self.covers[g] if g >= 0 else np.empty(0, dtype=np.intp)
 
     def plan_coverage(self, plan: dict[int, set[int] | list[int]]) -> np.ndarray:
         """(ℓ, θ) mask: piece j's seed set reaches sample i's root."""

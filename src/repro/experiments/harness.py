@@ -12,8 +12,9 @@ the same job as an extra (ℓ+1)-th "piece" whose topic vector is uniform.
 """
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -35,6 +36,8 @@ DEFAULT_L = 3
 DEFAULT_RATIO = 0.5
 DEFAULT_EPS = 0.5
 ALL_METHODS = ("IM", "TIM", "BAB", "BAB-P")
+# run_methods times each method as the fastest of this many identical calls.
+TIMING_REPEATS = 3
 
 
 @dataclass
@@ -115,18 +118,21 @@ def run_methods(
     """One experiment cell: every requested method on the prepared data.
 
     Returns one result row per method with the columns EXPERIMENTS.md
-    tabulates; times cover the search only (sampling reported in T3).
+    tabulates; times cover the search only (sampling reported in T3).  Each
+    method runs ``TIMING_REPEATS`` times and reports the fastest; the calls
+    must agree in everything but their time, or this raises.
     """
     model = LogisticModel.from_ratio(ratio)
     index = prep.index
     rows = []
     for method in methods:
         if method == "IM":
-            r = im_baseline(prep.im_cov, index, model, k)
+            call = functools.partial(im_baseline, prep.im_cov, index, model, k)
         elif method == "TIM":
-            r = tim_baseline(index, model, k)
+            call = functools.partial(tim_baseline, index, model, k)
         elif method in ("BAB", "BAB-P"):
-            r = branch_and_bound(
+            call = functools.partial(
+                branch_and_bound,
                 index,
                 model,
                 k,
@@ -137,6 +143,11 @@ def run_methods(
             )
         else:  # pragma: no cover - config error guard
             raise ValueError(f"unknown method {method!r}")
+        runs = [call() for _ in range(TIMING_REPEATS)]
+        r = runs[0]
+        if any(replace(other, seconds=r.seconds) != r for other in runs[1:]):
+            raise RuntimeError(f"{method} gave different results in identical calls")
+        r = replace(r, seconds=min(other.seconds for other in runs))
         searched = method in ("BAB", "BAB-P")
         rows.append(
             dict(

@@ -1,6 +1,8 @@
 """Tests for the branch-and-bound framework (Algorithm 1): BAB and BAB-P."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,26 @@ def test_gap_stop_on_last_entry_keeps_its_upper_bound(ex1_index, ex1_model, prog
     assert res.stop_reason == "gap" and res.pops == 1
     assert res.upper_bound == capped.upper_bound and res.utility == capped.utility
     assert res.gap == pytest.approx(0.0284, abs=1e-4)
+
+
+# sha256 of four searches on the test graph's sketch (see
+# test_search_pinned).  Any change to a tie-break, a bound's arithmetic or
+# the heap order moves it.
+TEST_GRAPH_SEARCH_SHA256 = "a673be27066c7ccd9ae25599704a78b95792b4d24f40247890416d5a2bf5ec58"
+
+
+def test_search_pinned(prepared_test_graph):
+    """BAB and BAB-P at β/α ∈ {0.3, 0.5}, k=20, 50 pops, bit for bit: the
+    sorted plan, utility and U as float hex, gap, pops, evals and the stop."""
+    digest = hashlib.sha256()
+    for ratio in (0.3, 0.5):
+        model = LogisticModel.from_ratio(ratio)
+        for progressive in (False, True):
+            r = branch_and_bound(
+                prepared_test_graph.index, model, 20, progressive=progressive, max_pops=50
+            )
+            plan = sorted((j, v) for j, seeds in r.plan.items() for v in seeds)
+            record = (plan, r.utility.hex(), r.upper_bound.hex(), r.gap.hex())
+            record += (r.pops, r.evals, r.stop_reason)
+            digest.update(repr(record).encode())
+    assert digest.hexdigest() == TEST_GRAPH_SEARCH_SHA256

@@ -150,8 +150,9 @@ def _reference_gains(state, piece):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_state_invariants_after_every_add(seed):
     """``base`` is kept incrementally; after every addition it equals
-    D[c0, c] recomputed, c equals the plan's per-sample piece counts, and the
-    one-pass gains equal the per-piece reference scan exactly."""
+    D[c0, c] recomputed, τ equals Σ G[c0, c] to the bit, c equals the plan's
+    per-sample piece counts, and the one-pass gains equal the per-piece
+    reference scan exactly."""
     idx = random_index(n_vertices=30, theta=50, seed=seed)
     m = LogisticModel.from_ratio(0.3)
     g = np.random.default_rng(seed)
@@ -165,6 +166,7 @@ def test_state_invariants_after_every_add(seed):
         state.slot_add(idx.slot(j, v))
         plan.setdefault(j, set()).add(v)
         assert np.array_equal(state.base, state.D[state.c0, state.c])
+        assert state.tau().hex() == float(state.G[state.c0, state.c].sum()).hex()
         assert np.array_equal(state.c, idx.plan_counts(plan))
         gains = state.scan([1] * idx.n_pieces)
         for jj in range(idx.n_pieces):

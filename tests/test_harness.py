@@ -140,3 +140,44 @@ def test_subset_excludes_im_piece(prepared_test_graph):
     # the im coverage is a separate object, not among the core pieces
     for cov in prepared_test_graph.index.pieces:
         assert cov is not prepared_test_graph.im_cov
+
+
+@pytest.mark.parametrize("method, name", [("BAB", "branch_and_bound"), ("TIM", "tim_baseline")])
+def test_run_methods_times_the_fastest_repeat(prepared_test_graph, monkeypatch, method, name):
+    """Each method runs TIMING_REPEATS times and reports the fastest call."""
+    from repro.experiments import harness
+
+    real = getattr(harness, name)
+    seconds = iter([3.0, 1.0, 2.0])
+    calls = []
+
+    def timed(*args, **kwargs):
+        calls.append(1)
+        return replace(real(*args, **kwargs), seconds=next(seconds))
+
+    monkeypatch.setattr(harness, name, timed)
+    (row,) = run_methods(prepared_test_graph, k=5, methods=(method,), max_pops=20)
+    assert len(calls) == harness.TIMING_REPEATS == 3
+    assert row["seconds"] == 1.0
+
+
+@pytest.mark.parametrize("field", ["utility", "evals", "plan"])
+def test_run_methods_rejects_a_nondeterministic_search(prepared_test_graph, monkeypatch, field):
+    """Repeats that disagree in plan, utility or evals are not timings of
+    one search: run_methods raises rather than reporting either."""
+    from repro.experiments import harness
+
+    real = harness.branch_and_bound
+    calls = []
+
+    def flaky(*args, **kwargs):
+        r = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) < 3:
+            return r
+        changed = {"utility": r.utility + 1e-12, "evals": r.evals + 1, "plan": {**r.plan, 99: {0}}}
+        return replace(r, **{field: changed[field]})
+
+    monkeypatch.setattr(harness, "branch_and_bound", flaky)
+    with pytest.raises(RuntimeError, match="BAB gave different results"):
+        run_methods(prepared_test_graph, k=5, methods=("BAB",), max_pops=20)

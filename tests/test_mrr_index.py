@@ -121,6 +121,8 @@ def test_slot_layout_matches_pieces():
     samples as the piece's own CSR view."""
     idx = random_index(n_vertices=30, theta=40, n_pieces=3, seed=5)
     assert len(idx.piece) == len(idx.promoter) == len(idx.covers) == len(idx.indptr) - 1
+    assert idx.piece_sizes == [len(cov.promoters) for cov in idx.pieces]
+    assert idx.slot_pieces == idx.piece.tolist()
     for j, cov in enumerate(idx.pieces):
         for i, v in enumerate(cov.promoters.tolist()):
             g = idx.slot(j, v)
@@ -130,6 +132,20 @@ def test_slot_layout_matches_pieces():
             lo, hi = idx.indptr[g], idx.indptr[g + 1]
             assert np.array_equal(idx.cells[lo:hi], j * idx.theta + seg)
     assert idx.slot(0, 10_000) == -1
+
+
+def test_index_arrays_are_intp(prepared_test_graph):
+    """The search gathers with these arrays on every greedy step; an index
+    of any other integer type is converted to intp on each call.  Holds for
+    explicit RR sets (int64 rows), Spark's int32 rows and a subset."""
+    prep = prepared_test_graph
+    for idx in (random_index(seed=4), prep.index):
+        arrays = {"samples": idx.samples, "cells": idx.cells, "indptr": idx.indptr}
+        arrays.update({f"covers[{g}]": ids for g, ids in enumerate(idx.covers)})
+        for j, cov in enumerate(idx.pieces + [prep.im_cov]):
+            arrays.update({f"pieces[{j}].samples": cov.samples, f"pieces[{j}].indptr": cov.indptr})
+        for name, a in arrays.items():
+            assert a.dtype == np.intp, name
 
 
 def test_slot_layout_of_subset():
