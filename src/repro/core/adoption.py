@@ -13,6 +13,7 @@ independent check, itself validated against the DuckDB oracle).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ class LogisticModel:
         p = 1.0 / (1.0 + np.exp(self.alpha - self.beta * c))
         return np.where(c > 0, p, 0.0)
 
+    @functools.lru_cache(maxsize=64)
     def adoption_values(self, n_pieces: int) -> np.ndarray:
-        """f(c) for c = 0..ℓ: the discrete adoption curve (f(0) = 0)."""
-        return self.prob(np.arange(n_pieces + 1))
+        """f(c) for c = 0..ℓ: the discrete adoption curve (f(0) = 0), built
+        once per (model, ℓ), so read-only."""
+        f = self.prob(np.arange(n_pieces + 1))
+        f.setflags(write=False)
+        return f
 
 
 def plan_size(plan: Plan) -> int:
@@ -58,10 +63,14 @@ def estimate_au(
 ) -> float:
     """Eqn 6 over the collected MRR sketch.  ``counts``, if given, must equal
     ``index.plan_counts(plan)``; a caller that already holds them saves the
-    recount."""
+    recount.  p(c_i) is looked up in the ℓ+1 values of
+    :meth:`LogisticModel.adoption_values`, the same per-count logistic
+    :meth:`LogisticModel.prob` computes, so the sum has the same bits
+    without θ ``exp`` calls."""
     if counts is None:
         counts = index.plan_counts(plan)
-    return index.n_vertices / index.theta * float(model.prob(counts).sum())
+    f = model.adoption_values(index.n_pieces)
+    return index.n_vertices / index.theta * float(f[counts].sum())
 
 
 def estimate_au_spark(

@@ -57,14 +57,6 @@ class BABResult:
     stop_reason: str = ""
 
 
-def _remove(pools: np.ndarray, index: MRRIndex, piece: int, v: int) -> np.ndarray:
-    out = pools.copy()
-    g = index.slot(piece, v)
-    if g >= 0:
-        out[g] = False
-    return out
-
-
 def branch_and_bound(
     index: MRRIndex,
     model: LogisticModel,
@@ -92,9 +84,10 @@ def branch_and_bound(
     upper = root.upper
 
     tick = itertools.count()  # heap tiebreaker; plans aren't orderable
-    heap: list[tuple[float, int, Plan, np.ndarray, tuple[int, int] | None]] = []
-    if root.upper > best_lower and root.first_pick is not None:
-        heapq.heappush(heap, (-root.upper, next(tick), {}, pools0, root.first_pick))
+    # (−U, tick, plan, pools, branching slot)
+    heap: list[tuple[float, int, Plan, np.ndarray, int]] = []
+    if root.upper > best_lower and root.first_slot is not None:
+        heapq.heappush(heap, (-root.upper, next(tick), {}, pools0, root.first_slot))
 
     pops = 0
     stop_reason = "exhausted"
@@ -102,30 +95,30 @@ def branch_and_bound(
         if pops >= max_pops:
             stop_reason = "max_pops"
             break
-        neg_u, _, plan, pools, pick = heapq.heappop(heap)
+        neg_u, _, plan, pools, g = heapq.heappop(heap)
         upper = -neg_u
         pops += 1
         if upper - best_lower <= gap_tol * max(upper, 1e-12):
             stop_reason = "gap"
             break  # 1% termination criterion
-        if upper <= best_lower or pick is None or plan_size(plan) >= k:
+        if upper <= best_lower or plan_size(plan) >= k:
             continue
-        j, v = pick
-        pools_b = _remove(pools, index, j, v)  # v* excluded (both children)
-        plan_a = {jj: set(s) for jj, s in plan.items()}
-        plan_a.setdefault(j, set()).add(v)  # v* included
+        pools_b = pools.copy()
+        pools_b[g] = False  # v* excluded (both children)
+        plan_a = {j: set(s) for j, s in plan.items()}
+        plan_a.setdefault(index.slot_pieces[g], set()).add(int(index.promoter[g]))  # v* in
         for child_plan, child_pools in ((plan_a, pools_b), (plan, pools_b)):
             res = bound(child_plan, child_pools)
             if res.lower > best_lower:
                 best_lower, best_plan = res.lower, res.plan
             if (
                 res.upper > best_lower
-                and res.first_pick is not None
+                and res.first_slot is not None
                 and plan_size(child_plan) < k
             ):
                 heapq.heappush(
                     heap,
-                    (-res.upper, next(tick), child_plan, child_pools, res.first_pick),
+                    (-res.upper, next(tick), child_plan, child_pools, res.first_slot),
                 )
 
     if stop_reason == "exhausted" and pops > 0:

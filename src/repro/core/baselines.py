@@ -37,19 +37,16 @@ def greedy_max_coverage(cov: PieceCoverage, k: int, theta: int) -> list[int]:
     """Classical RR-set greedy: repeatedly take the promoter covering the
     most still-uncovered samples.  Vectorized full scans per iteration over
     per-sample weights (1 = uncovered) that each pick zeroes in place.
-    Every promoter covers at least one sample, so no segment is empty."""
+    Every promoter covers at least one sample, so no segment is empty, and
+    a chosen promoter's gain is 0 from then on: it is never picked again."""
     uncovered = np.ones(theta, dtype=np.float64)
     chosen: list[int] = []
-    avail = np.ones(len(cov.promoters), dtype=bool)
-    for _ in range(min(k, int(avail.sum()))):
+    for _ in range(min(k, len(cov.promoters))):
         gains = np.add.reduceat(uncovered[cov.samples], cov.indptr[:-1])
-        gains[~avail] = -np.inf
-        i = int(np.argmax(gains))
+        i = int(gains.argmax())
         if gains[i] <= 0:
             break
-        v = int(cov.promoters[i])
-        chosen.append(v)
-        avail[i] = False
+        chosen.append(int(cov.promoters[i]))
         uncovered[cov.samples[cov.indptr[i] : cov.indptr[i + 1]]] = 0.0
     return chosen
 

@@ -6,7 +6,8 @@ the anchored submodular bound τ(·|S̄a), and return:
 * the completed candidate plan S̄ ∪ S̄a,
 * its exact MRR-estimated AU σ(S̄ ∪ S̄a) — a lower bound for the subspace,
 * τ(S̄|S̄a) — the upper bound used for pruning,
-* the first greedy pick — reused by the framework as the branching pair v*.
+* the slot of the first greedy pick — reused by the framework as the
+  branching pair v*.
 
 Algorithm 2 is the plain greedy: each of the k' iterations scans every
 available promoter of every piece.  Algorithm 3 is the progressive
@@ -18,8 +19,15 @@ submodularity) and the h ≤ τ·e⁻¹/((k−|S̄a|)(1−e⁻¹)) floor of Theo
 
 Both work on the slots of the :class:`~repro.diffusion.mrr.MRRIndex`: a
 branch's pool is one bool per slot, the partial plan's own slots are found
-with one vectorized lookup, and a pick is a slot, turned into its (piece,
-promoter) pair only for the returned plan.
+with one vectorized lookup per bound call, and a pick is a slot, turned
+into its (piece, promoter) pair only for the returned plan.  The result
+carries the branching pair as its slot, so the framework excludes it from
+a child's pool without a lookup.
+
+Only the pool-excluded slots are masked out of a greedy step.  A slot of
+the partial plan, or one the greedy already added, reaches only covered
+samples, so its gain is exactly 0.0: it can neither beat a positive gain
+nor change the ``≤ 0`` stop.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ class BoundResult:
     plan: Plan  # completed candidate plan (S̄ ∪ S̄a)
     lower: float  # σ(S̄ ∪ S̄a), exact on the MRR sketch
     upper: float  # τ(S̄|S̄a), scaled to AU units
-    first_pick: tuple[int, int] | None  # (piece, promoter) — branching pair
+    first_slot: int | None  # slot of the branching pair (piece, promoter)
     evals: int  # τ-marginal evaluations spent
 
 
@@ -50,16 +58,12 @@ class SearchStats:
     evals: int = 0
 
 
-def _available(
-    index: MRRIndex, pools: np.ndarray, plan: Plan
-) -> tuple[np.ndarray, list[int]]:
-    """Slot availability — in the (branch-restricted) pool, one bool per
-    slot of the index, and not already assigned to the piece — and the
-    number of available slots per piece."""
+def _n_available(state: BoundState, pools: np.ndarray) -> list[int]:
+    """Per piece, the number of slots in the (branch-restricted) pool, one
+    bool per slot of the index, and not in the state's partial plan."""
     avail = pools.copy()
-    avail[index.plan_slots(plan)] = False
-    n_avail = np.bincount(index.piece[avail], minlength=index.n_pieces)
-    return avail, n_avail.tolist()
+    avail[state.anchor] = False
+    return np.bincount(state.index.piece[avail], minlength=state.index.n_pieces).tolist()
 
 
 def _result(
@@ -68,16 +72,15 @@ def _result(
     """The completed plan S̄a ∪ S̄ from the state's additions, its lower
     bound and the first greedy pick."""
     index = state.index
-    picks = [(int(index.piece[g]), int(index.promoter[g])) for g in state.added]
     plan = {j: set(seeds) for j, seeds in partial_plan.items()}
-    for j, v in picks:
-        plan.setdefault(j, set()).add(v)
+    for g, v in zip(state.added, index.promoter[state.added].tolist()):
+        plan.setdefault(index.slot_pieces[g], set()).add(v)
     res = BoundResult(
         plan=plan,
         # state.c is the completed plan's per-sample piece count.
         lower=estimate_au(state.index, plan, state.model, counts=state.c),
         upper=upper,
-        first_pick=picks[0] if picks else None,
+        first_slot=state.added[0] if state.added else None,
         evals=state.evals,
     )
     if stats is not None:
@@ -100,16 +103,17 @@ def compute_bound(
     Each step scores every slot in one pass and takes the first maximum in
     slot order (piece-major, then CSR position)."""
     state = BoundState(index, model, partial_plan)
-    avail, n_avail = _available(index, pools, partial_plan)
+    n_avail = _n_available(state, pools)
+    excluded = np.flatnonzero(~pools)
     for _ in range(k - plan_size(partial_plan)):
         if not any(n_avail):
             break
-        gains = np.where(avail, state.scan(n_avail), -np.inf)
-        g = int(np.argmax(gains))
+        gains = state.scan(n_avail)
+        gains[excluded] = -np.inf
+        g = int(gains.argmax())
         if gains[g] <= 0.0:
             break
         state.slot_add(g)
-        avail[g] = False
         n_avail[index.slot_pieces[g]] -= 1
 
     return _result(state, partial_plan, state.tau_scaled(), stats)
@@ -127,13 +131,12 @@ def compute_bound_progressive(
 ) -> BoundResult:
     """Algorithm 3: progressive threshold-based bound estimation."""
     state = BoundState(index, model, partial_plan)
-    avail, n_avail = _available(index, pools, partial_plan)
     budget = k - plan_size(partial_plan)
 
     # Line 2: order all available slots by singleton gain δ∅(v); a stable
-    # sort keeps slot order among ties.
-    gains = state.scan(n_avail)
-    slots = np.flatnonzero(avail & (gains > 0.0))
+    # sort keeps slot order among ties.  The plan's own slots gain 0.0.
+    gains = state.scan(_n_available(state, pools))
+    slots = np.flatnonzero(pools & (gains > 0.0))
     slots = slots[np.argsort(-gains[slots], kind="stable")]
     entries = list(zip(gains[slots].tolist(), slots.tolist()))  # (δ∅, slot)
     taken = [False] * len(entries)

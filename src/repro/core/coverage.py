@@ -2,10 +2,16 @@
 
 A :class:`BoundState` tracks, for one `ComputeBound` invocation anchored at
 a partial plan S̄a: the per-sample anchor counts c₀ (pieces covered by S̄a),
-the current counts c (after greedy additions), per-piece covered masks, and
-the per-sample weights ``base = D[c₀, c]``, the marginal bound gain of
+the current counts c (after greedy additions), a per-piece ``open`` mask,
+and the per-sample weights ``base = D[c₀, c]``, the marginal bound gain of
 covering a sample once more (D is the delta table of the anchored
 envelope).  The running bound value is τ = Σ_i G[c₀_i, c_i].
+
+``open`` is the only coverage state: one float64 per (piece, sample) cell,
+1.0 while the piece has not reached the sample and 0.0 once it has.
+``covered`` is derived from it.  Because ``base`` is finite and ≥ 0,
+``base · open`` is bit for bit ``where(covered, 0, base)``, one multiply in
+place of a mask inversion and a select.
 
 Each sample's (c₀, c) pair is kept as one flat position ``k = c₀·(ℓ+1) + c``
 into the raveled G and D, so ``base`` and τ are 1-D gathers ``D[k]`` and
@@ -14,16 +20,19 @@ c is read back as ``k − (ℓ+1)·c₀``.
 
 Candidates are the slots of the :class:`~repro.diffusion.mrr.MRRIndex`:
 every (piece, promoter) pair of all ℓ pieces in one CSR.  One pass scores
-every slot: ``where(covered[piece, sample], 0, base[sample])`` over all
-entries, then one ``np.add.reduceat`` over the slot segments.  A single
-slot's gain sums its own segment the same way, so both give the same bits.
-``slot_add`` updates c, the covered mask and ``base`` only on the samples
-it newly covers.
+every slot: ``base[sample] · open[piece, sample]`` over all entries, then
+one ``np.add.reduceat`` over the slot segments.  A single slot's gain sums
+its own segment the same way, so both give the same bits.  A slot of the
+anchor plan, or one already added, reaches only closed cells, so its gain
+is exactly 0.0.  ``slot_add`` updates c, ``open`` and ``base`` only on the
+samples it newly covers.
 
 ``evals`` counts τ-marginal evaluations — the complexity currency of §V-C
 (Theorem 4) used for the BAB vs BAB-P accounting.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -31,6 +40,9 @@ from repro.diffusion.mrr import MRRIndex
 
 from .adoption import LogisticModel, Plan
 from .envelope import bound_tables
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # reduceat's one segment: a slot's own sum
 
 
 class BoundState:
@@ -41,14 +53,24 @@ class BoundState:
         self.model = model
         self.G, self.D = bound_tables(model, index.n_pieces)
         self._G, self._D = self.G.ravel(), self.D.ravel()  # indexed by k
-        # The Fig-2 refinement state: which pieces of S̄a reach each sample.
-        self.covered = index.plan_coverage(partial_plan)
-        self.c0 = self.covered.sum(axis=0)
-        self._covered_cells = self.covered.reshape(-1)  # view, indexed by slot cells
+        # The partial plan's slots, looked up once per bound call.
+        self.anchor = index.plan_slots(partial_plan)
+        # The Fig-2 refinement state: 0.0 where a piece of S̄a reaches a sample.
+        self.open = np.ones((index.n_pieces, index.theta))
+        self._open_cells = self.open.reshape(-1)  # view, indexed by slot cells
+        for g in self.anchor.tolist():
+            self.open[index.slot_pieces[g], index.covers[g]] = 0.0
+        self.c0 = index.n_pieces - self.open.sum(axis=0).astype(np.intp)
         self.k = self.c0 * (index.n_pieces + 2)  # flat (c₀, c) with c = c₀
         self.base = self._D[self.k]
         self.added: list[int] = []  # slots added, in order
         self.evals = 0  # number of τ-marginal evaluations (promoters scored)
+
+    @property
+    def covered(self) -> np.ndarray:
+        """(ℓ, θ) bool: piece j reaches sample i.  Derived from ``open`` on
+        each read, so writing to it changes no state."""
+        return self.open == 0.0
 
     @property
     def c(self) -> np.ndarray:
@@ -70,9 +92,9 @@ class BoundState:
         available slot (``n_avail[j] > 0``) — the 'scan all candidates' cost
         of plain ComputeBound."""
         idx = self.index
-        self.evals += sum(p for p, a in zip(idx.piece_sizes, n_avail) if a)
-        vals = np.where(self._covered_cells[idx.cells], 0.0, self.base[idx.samples])
-        return np.add.reduceat(vals, idx.indptr[:-1])
+        self.evals += sum(itertools.compress(idx.piece_sizes, n_avail))
+        vals = self.base[idx.samples] * self._open_cells[idx.cells]
+        return np.add.reduceat(vals, idx.starts)
 
     def slot_gain(self, g: int) -> float:
         """Marginal τ-gain of slot ``g`` alone, equal to ``scan(...)[g]``.
@@ -83,17 +105,17 @@ class BoundState:
         """
         self.evals += 1
         ids = self.index.covers[g]
-        vals = np.where(self.covered[self.index.slot_pieces[g]][ids], 0.0, self.base[ids])
-        return float(np.add.reduceat(vals, [0])[0])
+        vals = self.base[ids] * self.open[self.index.slot_pieces[g]][ids]
+        return float(np.add.reduceat(vals, _FIRST)[0])
 
     # -- mutation ------------------------------------------------------
     def slot_add(self, g: int) -> None:
-        """Add slot ``g`` to the plan, updating only the newly covered samples."""
+        """Add slot ``g`` to the plan: c advances by one on the samples it
+        newly covers (its open cells), and only its own samples are written."""
         self.added.append(g)
-        covered = self.covered[self.index.slot_pieces[g]]
+        open_ = self.open[self.index.slot_pieces[g]]
         ids = self.index.covers[g]
-        fresh = ids[~covered[ids]]
-        covered[fresh] = True
-        k = self.k[fresh] + 1
-        self.k[fresh] = k
-        self.base[fresh] = self._D[k]
+        k = self.k[ids] + open_[ids].astype(np.intp)  # +1 where the cell was open
+        open_[ids] = 0.0
+        self.k[ids] = k
+        self.base[ids] = self._D[k]

@@ -61,6 +61,7 @@ class MRRIndex:
         self.promoter = (self.keys % n_vertices).astype(np.int32)  # (S,) vertex of each slot
         # (S+1,) slot boundaries
         self.indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.intp, copy=False)
+        self.starts = self.indptr[:-1]  # (S,) each slot's first entry, for reduceat
         self.samples = sample_id[rows].astype(np.intp)  # (E,) covered sample ids
         # piece·θ + sample: each entry's cell of a flat (ℓ, θ) mask.
         cells = np.repeat(self.piece, lens) * theta + self.samples

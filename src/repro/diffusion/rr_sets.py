@@ -8,15 +8,21 @@ graph (edge probability ``p(t_j, e)``).
 
 The sampler is the RR-set construction of Borgs et al. (SODA'14) and IMM
 (Tang et al., SIGMOD'15): a reverse BFS per sample.  Its input is the
-per-piece relation that ``topics.edges_by_piece`` derives on the driver (a
-local relation, so collecting it moves no data off the driver).  The driver
-builds one reverse CSR over all pieces, keyed by (piece, dst), and
-broadcasts it.  ``roots.mapInArrow`` then runs, once per Arrow batch of
-roots, one level-synchronous numpy BFS over every (piece, root) pair and
-emits (piece, sample_id, vertex) rows; the result is checkpointed locally,
-once.  The visited set is a sorted array of (pair, vertex) keys, so nothing
-is sized by the vertex count n.  The BFS runs until the frontier is empty,
-so no RR set is truncated.
+per-piece relation that ``topics.edges_by_piece`` derives on the driver and
+returns as a local relation.  Collecting it back with ``toPandas`` is not
+free: it is one Spark job (4 tasks under ``local[4]``), the first of the two
+that perfbench's ``rr_sets.jobs`` counts, and takes 0.06–0.17 s warm and
+1.1 s cold (first in a fresh JVM) per ``prepare`` on perfbench's inputs, 4
+vCPUs (the CHANGES.md ``FOUND:`` line on ``edges_by_piece``).  The
+DataFrame return stays because perfbench's tracer counts its rows
+(``test_traced_prepare_marks_layers_and_counts_piece_edges``) until a
+benchmark change lets it go.  The driver builds one reverse CSR over all
+pieces, keyed by (piece, dst), and broadcasts it.  ``roots.mapInArrow``
+then runs, once per Arrow batch of roots, one level-synchronous numpy BFS
+over every (piece, root) pair and emits (piece, sample_id, vertex) rows;
+the result is checkpointed locally, once.  The visited set is a sorted
+array of (pair, vertex) keys, so nothing is sized by the vertex count n.
+The BFS runs until the frontier is empty, so no RR set is truncated.
 
 Edge e = (src, dst) is live in sample i of piece j iff
 ``xxhash64(seed, j, i, src, dst) mod 2^24 / 2^24 < p(t_j, e)``, where

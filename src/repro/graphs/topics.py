@@ -72,7 +72,9 @@ def edges_by_piece(spark: SparkSession, edges: pd.DataFrame, pieces: np.ndarray)
     piece, each in the table's order.  Zero-probability edges are dropped —
     they can never transmit, and for sparse topic vectors (tweet-like data)
     this shrinks the sampler's input by orders of magnitude.  The result is
-    a local relation built on the driver; creating it runs no Spark job.
+    a local relation built on the driver: creating it runs no Spark job, but
+    ``rr_sets.sample_mrr_sets`` collects it back with one ``toPandas`` job
+    (see that module's docstring for its cost).
     """
     pieces = np.asarray(pieces, dtype=np.float64)
     probs = np.array(edges["probs"].tolist(), dtype=np.float64).reshape(len(edges), pieces.shape[1])

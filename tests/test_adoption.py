@@ -15,7 +15,7 @@ from repro.core.adoption import (
 from repro.diffusion.mrr import index_from_sets
 from repro.oracle import assert_equivalent
 
-from .conftest import EX1_ANC
+from .conftest import EX1_ANC, random_index
 
 
 def test_logistic_zero_when_unreached():
@@ -53,6 +53,21 @@ def test_adoption_values_length():
     m = LogisticModel(alpha=2.0)
     v = m.adoption_values(5)
     assert len(v) == 6 and v[0] == 0.0
+
+
+@pytest.mark.parametrize("n_pieces", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ratio", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_estimate_au_table_is_logistic_bit_for_bit(ratio, n_pieces):
+    """Eqn 6 as a lookup in the ℓ+1 adoption values has the bits of the
+    logistic computed per sample, on plans that reach every count 0..ℓ."""
+    idx = random_index(n_vertices=30, theta=400, n_pieces=n_pieces, density=0.2, seed=n_pieces)
+    m = LogisticModel.from_ratio(ratio)
+    plan = {j: set(cov.promoters[:4].tolist()) for j, cov in enumerate(idx.pieces)}
+    counts = idx.plan_counts(plan)
+    assert set(counts.tolist()) == set(range(n_pieces + 1))
+    want = idx.n_vertices / idx.theta * float(m.prob(counts).sum())
+    assert estimate_au(idx, plan, m) == want
+    assert estimate_au(idx, plan, m, counts=counts) == want
 
 
 def test_plan_size():

@@ -57,7 +57,7 @@ def test_bound_first_pick_is_best_singleton(idx, model):
         for j in range(idx.n_pieces)
         for v in idx.pieces[j].promoters
     )
-    assert res.first_pick == (best[1], best[2])
+    assert res.first_slot == idx.slot(best[1], best[2])
 
 
 def test_bound_lower_is_exact_au(idx, model):
@@ -85,6 +85,25 @@ def test_bound_pool_restriction(idx, model):
     pools[idx.offsets[0] : idx.offsets[1]] = False  # piece 0 has no available promoters
     res = compute_bound(idx, model, {}, pools, 5)
     assert 0 not in res.plan or not res.plan[0]
+
+
+@pytest.mark.parametrize("bound", [compute_bound, compute_bound_progressive])
+def test_pool_excluded_slot_never_picked(idx, model, bound):
+    """Only pool-excluded slots are masked in a greedy step: a branch pool
+    that drops the slot of largest gain keeps it out of every completed
+    plan, with or without an anchor, up to a budget that takes every slot."""
+    gains = BoundState(idx, model, {}).scan([1] * idx.n_pieces)
+    top = int(gains.argmax())
+    j, v = int(idx.piece[top]), int(idx.promoter[top])
+    pools = full_pools(idx)
+    pools[top] = False
+    second = int(np.argsort(gains, kind="stable")[-2])
+    anchor = {int(idx.piece[second]): {int(idx.promoter[second])}}
+    for partial in ({}, anchor):
+        for k in (2, 5, len(pools)):
+            res = bound(idx, model, partial, pools, k)
+            assert v not in res.plan.get(j, set()) and res.first_slot != top
+            assert plan_size(res.plan) > plan_size(partial)
 
 
 def test_bound_stats_accumulate(idx, model):
@@ -236,7 +255,8 @@ def test_one_pass_greedy_equals_per_piece_reference(model, seed):
         res = compute_bound(small, model, partial, np.concatenate(pools), k)
         plan, upper, first, evals = _reference_compute_bound(small, model, partial, pools, k)
         assert res.plan == plan and res.upper == upper
-        assert res.first_pick == first and res.evals == evals
+        assert res.first_slot == (small.slot(*first) if first else None)
+        assert res.evals == evals
 
 
 @pytest.mark.parametrize("seed", [13, 14, 15])

@@ -212,3 +212,33 @@ def test_scan_counts_pieces_with_available_slots():
     sizes = [len(c.promoters) for c in idx.pieces]
     state.scan([0, 2, 1])
     assert state.evals == sizes[1] + sizes[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scan_is_where_reference_bit_for_bit(seed):
+    """The open-cell product ``base · open`` is bit for bit the masked select
+    ``where(covered, 0, base)`` it replaced: after every addition to an
+    anchored state, ``scan`` and every ``slot_gain`` equal that reference
+    recomputed from the plan alone, and ``covered`` is the plan's coverage."""
+    idx = random_index(n_vertices=50, theta=150, n_pieces=3, density=0.2, seed=seed)
+    m = LogisticModel.from_ratio(0.3)
+    g = np.random.default_rng(seed)
+    anchor = _random_plan(idx, g, 3)
+    state = BoundState(idx, m, anchor)
+    # The premise of the product form: every weight is finite and ≥ 0.
+    assert np.isfinite(state.D).all() and (state.D >= 0.0).all()
+    c0 = idx.plan_counts(anchor)
+    plan = {j: set(s) for j, s in anchor.items()}
+    for _ in range(10):
+        j = int(g.integers(idx.n_pieces))
+        v = int(g.choice(idx.pieces[j].promoters))  # repeats are no-ops
+        state.slot_add(idx.slot(j, v))
+        plan.setdefault(j, set()).add(v)
+        covered = idx.plan_coverage(plan)
+        base = state.D[c0, idx.plan_counts(plan)]
+        vals = np.where(covered.reshape(-1)[idx.cells], 0.0, base[idx.samples])
+        want = np.add.reduceat(vals, idx.indptr[:-1])
+        assert np.array_equal(state.covered, covered)
+        assert state.scan([1] * idx.n_pieces).tobytes() == want.tobytes()
+        singles = np.array([state.slot_gain(s) for s in range(len(idx.piece))])
+        assert singles.tobytes() == want.tobytes()
