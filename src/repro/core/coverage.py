@@ -24,8 +24,8 @@ every slot: ``base[sample] · open[piece, sample]`` over all entries, then
 one ``np.add.reduceat`` over the slot segments.  A single slot's gain sums
 its own segment the same way, so both give the same bits.  A slot of the
 anchor plan, or one already added, reaches only closed cells, so its gain
-is exactly 0.0.  ``slot_add`` updates c, ``open`` and ``base`` only on the
-samples it newly covers.
+is exactly 0.0.  ``slot_add`` writes c, ``open`` and ``base`` on the slot's
+own samples only, and c moves only on the ones it newly covers.
 
 ``evals`` counts τ-marginal evaluations — the complexity currency of §V-C
 (Theorem 4) used for the BAB vs BAB-P accounting.

@@ -11,9 +11,9 @@ The sampler is the RR-set construction of Borgs et al. (SODA'14) and IMM
 per-piece relation that ``topics.edges_by_piece`` derives on the driver and
 returns as a local relation.  Collecting it back with ``toPandas`` is not
 free: it is one Spark job (4 tasks under ``local[4]``), the first of the two
-that perfbench's ``rr_sets.jobs`` counts, and takes 0.06–0.17 s warm and
-1.1 s cold (first in a fresh JVM) per ``prepare`` on perfbench's inputs, 4
-vCPUs (the CHANGES.md ``FOUND:`` line on ``edges_by_piece``).  The
+that perfbench's ``rr_sets.jobs`` counts, and takes 0.06–0.2 s warm and
+1.0–1.2 s cold (first in a fresh JVM) per ``prepare`` on perfbench's
+inputs, 4 vCPUs (the CHANGES.md ``FOUND:`` line on ``edges_by_piece``).  The
 DataFrame return stays because perfbench's tracer counts its rows
 (``test_traced_prepare_marks_layers_and_counts_piece_edges``) until a
 benchmark change lets it go.  The driver builds one reverse CSR over all
