@@ -1,15 +1,17 @@
 import os
 import sys
 
+import pytest
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > 48g fallback. It is derived at conftest import, which pytest
+    loads before any test module, and the ``spark`` fixture hands it to
+    ``build_session``, which puts it in PYSPARK_SUBMIT_ARGS before the JVM
+    launches (spark.driver.memory is not read from a later SparkConf).
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,38 +40,17 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+def spark():
+    """One local-mode SparkSession for the whole test session, built by
+    ``repro.session.build_session`` with the driver memory derived above."""
+    # Imported here: perfbench's tests load this file before their own
+    # conftest puts src/ on sys.path.
+    from repro.session import build_session
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow) are set here. Shuffle partitions default to
-    the core count: the tables are tens of thousands of rows, and more
-    partitions only add per-task overhead.
-    """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
-    s.conf.set(
-        "spark.sql.shuffle.partitions",
-        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(s.sparkContext.defaultParallelism)),
-    )
+    s = build_session("repro", os.environ["SPARK_DRIVER_MEM"])
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

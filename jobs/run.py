@@ -13,36 +13,10 @@ import os
 import pathlib
 import sys
 
-from pyspark.sql import SparkSession
-
 from repro.experiments import tables as T
+from repro.session import build_session
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def build_session(app: str) -> SparkSession:
-    """Mirror conftest.py's session settings for standalone jobs.
-
-    PYSPARK_SUBMIT_ARGS must be set before the JVM gateway launches
-    (getOrCreate), since spark.driver.memory is not honoured post-launch.
-    """
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    spark = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
-    spark.conf.set(
-        "spark.sql.shuffle.partitions",
-        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(spark.sparkContext.defaultParallelism)),
-    )
-    return spark
 
 
 def main() -> None:
@@ -62,7 +36,7 @@ def main() -> None:
                 f"(choose from {', '.join(map(repr, choices))})"
             )
 
-    spark = build_session("repro-tables")
+    spark = build_session("repro-tables", os.environ.get("SPARK_DRIVER_MEM", "16g"))
     spark.sparkContext.setLogLevel("ERROR")
     RESULTS.mkdir(parents=True, exist_ok=True)
     try:

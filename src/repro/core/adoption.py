@@ -59,11 +59,12 @@ def plan_size(plan: Plan) -> int:
 
 
 def estimate_au(
-    index: MRRIndex, plan: Plan, model: LogisticModel, *, counts: np.ndarray | None = None
+    index: MRRIndex, plan: Plan | None, model: LogisticModel, *, counts: np.ndarray | None = None
 ) -> float:
     """Eqn 6 over the collected MRR sketch.  ``counts``, if given, must equal
-    ``index.plan_counts(plan)``; a caller that already holds them saves the
-    recount.  p(c_i) is looked up in the ℓ+1 values of
+    ``index.plan_counts(plan)``; a caller that already holds them (the
+    bound, whose plan is slots) saves the recount and may pass ``None`` for
+    the plan.  p(c_i) is looked up in the ℓ+1 values of
     :meth:`LogisticModel.adoption_values`, the same per-count logistic
     :meth:`LogisticModel.prob` computes, so the sum has the same bits
     without θ ``exp`` calls."""

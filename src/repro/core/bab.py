@@ -1,12 +1,17 @@
 """The branch-and-bound framework (Algorithm 1): BAB and BAB-P.
 
-Partial plans live in a max-heap keyed by their τ upper bound.  Popping
-the top entry yields the global upper bound U over the unexplored space;
-the best candidate plan found by any `ComputeBound` completion is the
-global lower bound L.  The search terminates when the relative gap
-(U − L)/U falls inside ``gap_tol`` (the paper runs BAB "within 1% error
-ratio"), when the heap runs empty with every entry explored (gap 0), or at
-the ``max_pops`` backstop; ``BABResult.stop_reason`` records which.
+Partial plans live in a max-heap keyed by their τ upper bound, each as the
+``np.intp`` array of its :class:`~repro.diffusion.mrr.MRRIndex` slots, the
+*anchor* of its bound calls; the "v* in" child appends v*'s slot.  The best
+candidate's slots become a {piece: promoters} dict once, for
+``BABResult.plan``, and the framework counts its bound calls and their τ
+evaluations itself.  Popping the top entry yields the global upper bound U
+over the unexplored space; the best candidate plan found by any
+`ComputeBound` completion is the global lower bound L.  The search
+terminates when the relative gap (U − L)/U falls inside ``gap_tol`` (the
+paper runs BAB "within 1% error ratio"), when the heap runs empty with
+every entry explored (gap 0), or at the ``max_pops`` backstop;
+``BABResult.stop_reason`` records which.
 The backstop is reached: at β/α=0.3 three rows of results/vary_ratio.md
 read ``max_pops``, with gaps of 3–14%.  The achieved gap is always reported,
 but U is the greedy τ of Algorithm 2, which is (1−1/e)-close to max τ and
@@ -28,13 +33,8 @@ import numpy as np
 
 from repro.diffusion.mrr import MRRIndex
 
-from .adoption import LogisticModel, Plan, plan_size
-from .bound import (
-    BoundResult,
-    SearchStats,
-    compute_bound,
-    compute_bound_progressive,
-)
+from .adoption import LogisticModel, Plan
+from .bound import BoundResult, compute_bound, compute_bound_progressive
 
 # The heap-pop backstop: the default of branch_and_bound, run_methods and
 # the full-scale tables.
@@ -69,25 +69,29 @@ def branch_and_bound(
 ) -> BABResult:
     """Run BAB (plain bound) or BAB-P (progressive bound) for budget k."""
     t0 = time.perf_counter()
-    stats = SearchStats()
+    bound_calls = evals = 0
 
-    def bound(plan: Plan, pools: np.ndarray) -> BoundResult:
+    def bound(anchor: np.ndarray, pools: np.ndarray) -> BoundResult:
+        nonlocal bound_calls, evals
         if progressive:
-            return compute_bound_progressive(
-                index, model, plan, pools, k, eps=eps, stats=stats
-            )
-        return compute_bound(index, model, plan, pools, k, stats=stats)
+            res = compute_bound_progressive(index, model, anchor, pools, k, eps=eps)
+        else:
+            res = compute_bound(index, model, anchor, pools, k)
+        bound_calls += 1
+        evals += res.evals
+        return res
 
+    anchor0 = np.empty(0, dtype=np.intp)
     pools0 = np.ones(len(index.piece), dtype=bool)  # one flag per slot
-    root = bound({}, pools0)
-    best_plan, best_lower = root.plan, root.lower
+    root = bound(anchor0, pools0)
+    best_slots, best_lower = root.slots, root.lower
     upper = root.upper
 
-    tick = itertools.count()  # heap tiebreaker; plans aren't orderable
-    # (−U, tick, plan, pools, branching slot)
-    heap: list[tuple[float, int, Plan, np.ndarray, int]] = []
+    tick = itertools.count()  # heap tiebreaker; arrays aren't orderable
+    # (−U, tick, anchor, pools, branching slot)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, int]] = []
     if root.upper > best_lower and root.first_slot is not None:
-        heapq.heappush(heap, (-root.upper, next(tick), {}, pools0, root.first_slot))
+        heapq.heappush(heap, (-root.upper, next(tick), anchor0, pools0, root.first_slot))
 
     pops = 0
     stop_reason = "exhausted"
@@ -95,30 +99,24 @@ def branch_and_bound(
         if pops >= max_pops:
             stop_reason = "max_pops"
             break
-        neg_u, _, plan, pools, g = heapq.heappop(heap)
+        neg_u, _, anchor, pools, g = heapq.heappop(heap)
         upper = -neg_u
         pops += 1
         if upper - best_lower <= gap_tol * max(upper, 1e-12):
             stop_reason = "gap"
             break  # 1% termination criterion
-        if upper <= best_lower or plan_size(plan) >= k:
+        if upper <= best_lower or len(anchor) >= k:
             continue
         pools_b = pools.copy()
         pools_b[g] = False  # v* excluded (both children)
-        plan_a = {j: set(s) for j, s in plan.items()}
-        plan_a.setdefault(index.slot_pieces[g], set()).add(int(index.promoter[g]))  # v* in
-        for child_plan, child_pools in ((plan_a, pools_b), (plan, pools_b)):
-            res = bound(child_plan, child_pools)
+        # v* in, then v* out
+        for child, child_pools in ((np.append(anchor, g), pools_b), (anchor, pools_b)):
+            res = bound(child, child_pools)
             if res.lower > best_lower:
-                best_lower, best_plan = res.lower, res.plan
-            if (
-                res.upper > best_lower
-                and res.first_slot is not None
-                and plan_size(child_plan) < k
-            ):
+                best_lower, best_slots = res.lower, res.slots
+            if res.upper > best_lower and res.first_slot is not None and len(child) < k:
                 heapq.heappush(
-                    heap,
-                    (-res.upper, next(tick), child_plan, child_pools, res.first_slot),
+                    heap, (-res.upper, next(tick), child, child_pools, res.first_slot)
                 )
 
     if stop_reason == "exhausted" and pops > 0:
@@ -128,13 +126,13 @@ def branch_and_bound(
     upper = max(upper, best_lower)
     gap = (upper - best_lower) / max(upper, 1e-12)
     return BABResult(
-        plan=best_plan,
+        plan=index.slot_plan(best_slots),
         utility=best_lower,
         upper_bound=upper,
         gap=gap,
         pops=pops,
-        bound_calls=stats.bound_calls,
-        evals=stats.evals,
+        bound_calls=bound_calls,
+        evals=evals,
         seconds=time.perf_counter() - t0,
         method="BAB-P" if progressive else "BAB",
         stop_reason=stop_reason,

@@ -17,12 +17,12 @@ whose current marginal meets it, and decays by (1+ε) per round, with two
 early exits — the sorted-order break (δ∅(v) < h ⇒ δ_S̄(v) < h by
 submodularity) and the h ≤ τ·e⁻¹/((k−|S̄a|)(1−e⁻¹)) floor of Theorem 3.
 
-Both work on the slots of the :class:`~repro.diffusion.mrr.MRRIndex`: a
-branch's pool is one bool per slot, the partial plan's own slots are found
-with one vectorized lookup per bound call, and a pick is a slot, turned
-into its (piece, promoter) pair only for the returned plan.  The result
-carries the branching pair as its slot, so the framework excludes it from
-a child's pool without a lookup.
+Both speak the slots of the :class:`~repro.diffusion.mrr.MRRIndex` only:
+the partial plan S̄a (the *anchor*) is an ``np.intp`` array of slots, so
+k' = k − len(anchor); a branch's pool is one bool per slot; and the
+completed candidate is the anchor's slots followed by the greedy's picks.
+The result carries the branching pair as its slot, so the framework
+excludes it from a child's pool without a lookup.
 
 Only the pool-excluded slots are masked out of a greedy step.  A slot of
 the partial plan, or one the greedy already added, reaches only covered
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.diffusion.mrr import MRRIndex
 
-from .adoption import LogisticModel, Plan, estimate_au, plan_size
+from .adoption import LogisticModel, estimate_au
 from .coverage import BoundState
 
 E_FLOOR = np.exp(-1.0) / (1.0 - np.exp(-1.0))
@@ -45,17 +45,11 @@ E_FLOOR = np.exp(-1.0) / (1.0 - np.exp(-1.0))
 
 @dataclass
 class BoundResult:
-    plan: Plan  # completed candidate plan (S̄ ∪ S̄a)
+    slots: np.ndarray  # completed candidate S̄a ∪ S̄: the anchor, then the picks
     lower: float  # σ(S̄ ∪ S̄a), exact on the MRR sketch
     upper: float  # τ(S̄|S̄a), scaled to AU units
     first_slot: int | None  # slot of the branching pair (piece, promoter)
     evals: int  # τ-marginal evaluations spent
-
-
-@dataclass
-class SearchStats:
-    bound_calls: int = 0
-    evals: int = 0
 
 
 def _n_available(state: BoundState, pools: np.ndarray) -> list[int]:
@@ -66,46 +60,30 @@ def _n_available(state: BoundState, pools: np.ndarray) -> list[int]:
     return np.bincount(state.index.piece[avail], minlength=state.index.n_pieces).tolist()
 
 
-def _result(
-    state: BoundState, partial_plan: Plan, upper: float, stats: SearchStats | None
-) -> BoundResult:
-    """The completed plan S̄a ∪ S̄ from the state's additions, its lower
-    bound and the first greedy pick."""
-    index = state.index
-    plan = {j: set(seeds) for j, seeds in partial_plan.items()}
-    for g, v in zip(state.added, index.promoter[state.added].tolist()):
-        plan.setdefault(index.slot_pieces[g], set()).add(v)
-    res = BoundResult(
-        plan=plan,
+def _result(state: BoundState, upper: float) -> BoundResult:
+    """The completed candidate from the state's anchor and additions, its
+    lower bound and the first greedy pick."""
+    return BoundResult(
+        slots=np.concatenate((state.anchor, np.array(state.added, dtype=np.intp))),
         # state.c is the completed plan's per-sample piece count.
-        lower=estimate_au(state.index, plan, state.model, counts=state.c),
+        lower=estimate_au(state.index, None, state.model, counts=state.c),
         upper=upper,
         first_slot=state.added[0] if state.added else None,
         evals=state.evals,
     )
-    if stats is not None:
-        stats.bound_calls += 1
-        stats.evals += state.evals
-    return res
 
 
 def compute_bound(
-    index: MRRIndex,
-    model: LogisticModel,
-    partial_plan: Plan,
-    pools: np.ndarray,
-    k: int,
-    *,
-    stats: SearchStats | None = None,
+    index: MRRIndex, model: LogisticModel, anchor: np.ndarray, pools: np.ndarray, k: int
 ) -> BoundResult:
     """Algorithm 2: plain greedy bound estimation (full scans).
 
     Each step scores every slot in one pass and takes the first maximum in
     slot order (piece-major, then CSR position)."""
-    state = BoundState(index, model, partial_plan)
+    state = BoundState(index, model, anchor)
     n_avail = _n_available(state, pools)
     excluded = np.flatnonzero(~pools)
-    for _ in range(k - plan_size(partial_plan)):
+    for _ in range(k - len(anchor)):
         if not any(n_avail):
             break
         gains = state.scan(n_avail)
@@ -116,22 +94,21 @@ def compute_bound(
         state.slot_add(g)
         n_avail[index.slot_pieces[g]] -= 1
 
-    return _result(state, partial_plan, state.tau_scaled(), stats)
+    return _result(state, state.tau_scaled())
 
 
 def compute_bound_progressive(
     index: MRRIndex,
     model: LogisticModel,
-    partial_plan: Plan,
+    anchor: np.ndarray,
     pools: np.ndarray,
     k: int,
     *,
     eps: float = 0.5,
-    stats: SearchStats | None = None,
 ) -> BoundResult:
     """Algorithm 3: progressive threshold-based bound estimation."""
-    state = BoundState(index, model, partial_plan)
-    budget = k - plan_size(partial_plan)
+    state = BoundState(index, model, anchor)
+    budget = k - len(anchor)
 
     # Line 2: order all available slots by singleton gain δ∅(v); a stable
     # sort keeps slot order among ties.  The plan's own slots gain 0.0.
@@ -184,4 +161,4 @@ def compute_bound_progressive(
                 taken[idx] = True
                 n_added += 1
 
-    return _result(state, partial_plan, upper, stats)
+    return _result(state, upper)

@@ -1,7 +1,9 @@
 """Vectorized coverage state for the upper-bound greedy (Algorithms 2–3).
 
 A :class:`BoundState` tracks, for one `ComputeBound` invocation anchored at
-a partial plan S̄a: the per-sample anchor counts c₀ (pieces covered by S̄a),
+a partial plan S̄a, given as its slots: the per-sample anchor counts c₀
+(pieces covered by S̄a; the anchor's cells are closed by one gather over its
+slots' entries, :meth:`~repro.diffusion.mrr.MRRIndex.slot_cells`),
 the current counts c (after greedy additions), a per-piece ``open`` mask,
 and the per-sample weights ``base = D[c₀, c]``, the marginal bound gain of
 covering a sample once more (D is the delta table of the anchored
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro.diffusion.mrr import MRRIndex
 
-from .adoption import LogisticModel, Plan
+from .adoption import LogisticModel
 from .envelope import bound_tables
 
 
@@ -48,18 +50,16 @@ _FIRST = np.zeros(1, dtype=np.intp)  # reduceat's one segment: a slot's own sum
 class BoundState:
     """Mutable greedy state over the anchored envelope bound."""
 
-    def __init__(self, index: MRRIndex, model: LogisticModel, partial_plan: Plan):
+    def __init__(self, index: MRRIndex, model: LogisticModel, anchor: np.ndarray):
         self.index = index
         self.model = model
         self.G, self.D = bound_tables(model, index.n_pieces)
         self._G, self._D = self.G.ravel(), self.D.ravel()  # indexed by k
-        # The partial plan's slots, looked up once per bound call.
-        self.anchor = index.plan_slots(partial_plan)
+        self.anchor = anchor  # the partial plan S̄a's slots, np.intp
         # The Fig-2 refinement state: 0.0 where a piece of S̄a reaches a sample.
         self.open = np.ones((index.n_pieces, index.theta))
         self._open_cells = self.open.reshape(-1)  # view, indexed by slot cells
-        for g in self.anchor.tolist():
-            self.open[index.slot_pieces[g], index.covers[g]] = 0.0
+        self._open_cells[index.slot_cells(anchor)] = 0.0
         self.c0 = index.n_pieces - self.open.sum(axis=0).astype(np.intp)
         self.k = self.c0 * (index.n_pieces + 2)  # flat (c₀, c) with c = c₀
         self.base = self._D[self.k]

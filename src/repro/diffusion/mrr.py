@@ -9,9 +9,11 @@ every (piece, promoter) pair in one ``np.add.reduceat``.  The per-piece
 CSRs (:class:`PieceCoverage`) are views of the same arrays.  Every array
 the search indexes other arrays with (``samples``, ``cells``, ``indptr``)
 is ``np.intp``, numpy's native index type, so no gather converts its index
-on each call.  Everything the branch-and-bound needs is in this object;
-the raw DataFrame stays available for Spark-side AU evaluation and oracle
-checks.
+on each call.  Inside the search a plan is the ``np.intp`` array of its
+slots; ``plan_slots`` and ``slot_plan`` convert it from and to a
+{piece: promoters} dict.  Everything the branch-and-bound needs is in this
+object; the raw DataFrame stays available for Spark-side AU evaluation and
+oracle checks.
 """
 from __future__ import annotations
 
@@ -107,16 +109,31 @@ class MRRIndex:
         g = self.find_slots(pairs[:, 0], pairs[:, 1])
         return g[g >= 0]
 
+    def slot_plan(self, slots: np.ndarray) -> dict[int, set[int]]:
+        """The plan {piece: promoters} of the given slots."""
+        plan: dict[int, set[int]] = {}
+        for j, v in zip(self.piece[slots].tolist(), self.promoter[slots].tolist()):
+            plan.setdefault(j, set()).add(v)
+        return plan
+
+    def slot_cells(self, slots: np.ndarray) -> np.ndarray:
+        """The (ℓ, θ) cells of the given slots' entries, concatenated in slot
+        order: one gather over their entry ranges, whose positions are an
+        ``arange`` shifted per slot by an ``np.repeat``."""
+        start = self.indptr[slots]
+        lens = self.indptr[slots + 1] - start
+        at = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+        return self.cells[at]
+
     def covered_by(self, piece: int, v: int) -> np.ndarray:
         g = self.slot(piece, v)
         return self.covers[g] if g >= 0 else np.empty(0, dtype=np.intp)
 
     def plan_coverage(self, plan: dict[int, set[int] | list[int]]) -> np.ndarray:
         """(ℓ, θ) mask: piece j's seed set reaches sample i's root."""
-        covered = np.zeros((self.n_pieces, self.theta), dtype=bool)
-        for g in self.plan_slots(plan).tolist():
-            covered[self.piece[g], self.covers[g]] = True
-        return covered
+        covered = np.zeros(self.n_pieces * self.theta, dtype=bool)
+        covered[self.slot_cells(self.plan_slots(plan))] = True
+        return covered.reshape(self.n_pieces, self.theta)
 
     def plan_counts(self, plan: dict[int, set[int] | list[int]]) -> np.ndarray:
         """Per-sample count of distinct pieces whose seed set reaches the root."""

@@ -14,7 +14,7 @@ from .conftest import random_index
 def test_plan_coverage_empty():
     idx = random_index()
     covered = idx.plan_coverage({})
-    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), {}).c0
+    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), idx.plan_slots({})).c0
     assert c0.sum() == 0 and not covered.any()
 
 
@@ -22,7 +22,7 @@ def test_plan_coverage_counts():
     idx = random_index(seed=2)
     v = int(idx.pieces[0].promoters[0])
     covered = idx.plan_coverage({0: {v}})
-    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), {0: {v}}).c0
+    c0 = BoundState(idx, LogisticModel.from_ratio(0.5), idx.plan_slots({0: {v}})).c0
     ids = idx.covered_by(0, v)
     assert covered[0, ids].all()
     assert c0.sum() == len(ids)
@@ -36,14 +36,14 @@ def test_tau_of_empty_state_majorizes_au(ratio):
     idx = random_index(seed=4)
     m = LogisticModel.from_ratio(ratio)
     plan = {0: {int(idx.pieces[0].promoters[0])}, 1: {int(idx.pieces[1].promoters[1])}}
-    state = BoundState(idx, m, plan)
+    state = BoundState(idx, m, idx.plan_slots(plan))
     assert state.tau_scaled() >= estimate_au(idx, plan, m) - 1e-9
 
 
 def test_scan_matches_single_slot_gain():
     idx = random_index(seed=5)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     for j in range(idx.n_pieces):
         gains = state.scan([1] * idx.n_pieces)[idx.offsets[j] : idx.offsets[j + 1]]
         for i, v in enumerate(idx.pieces[j].promoters[:10]):
@@ -54,7 +54,7 @@ def test_gain_equals_tau_difference():
     """δ(v) computed incrementally == τ(after add) − τ(before add)."""
     idx = random_index(seed=6)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     g = idx.slot(1, int(idx.pieces[1].promoters[3]))
     gain = state.slot_gain(g)
     before = state.tau()
@@ -65,7 +65,7 @@ def test_gain_equals_tau_difference():
 def test_add_idempotent():
     idx = random_index(seed=7)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     g = idx.slot(0, int(idx.pieces[0].promoters[0]))
     state.slot_add(g)
     tau1 = state.tau()
@@ -80,8 +80,8 @@ def test_submodularity_of_tau():
     m = LogisticModel.from_ratio(0.3)  # hardest curve
     g = np.random.default_rng(0)
     for trial in range(20):
-        state_small = BoundState(idx, m, {})
-        state_big = BoundState(idx, m, {})
+        state_small = BoundState(idx, m, idx.plan_slots({}))
+        state_big = BoundState(idx, m, idx.plan_slots({}))
         # grow B beyond A by two random additions
         for _ in range(2):
             j = int(g.integers(idx.n_pieces))
@@ -95,7 +95,7 @@ def test_submodularity_of_tau():
 def test_monotonicity_of_tau():
     idx = random_index(seed=9)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     prev = state.tau()
     g = np.random.default_rng(1)
     for _ in range(10):
@@ -109,7 +109,7 @@ def test_monotonicity_of_tau():
 def test_eval_counter_increments():
     idx = random_index(seed=10)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     state.scan([1, 0, 0])
     assert state.evals == len(idx.pieces[0].promoters)
     state.slot_gain(idx.slot(1, int(idx.pieces[1].promoters[0])))
@@ -122,8 +122,8 @@ def test_anchored_state_uses_refined_envelope():
     idx = random_index(seed=11)
     m = LogisticModel.from_ratio(0.3)
     v0 = int(idx.pieces[0].promoters[0])
-    empty = BoundState(idx, m, {})
-    refined = BoundState(idx, m, {0: {v0}})
+    empty = BoundState(idx, m, idx.plan_slots({}))
+    refined = BoundState(idx, m, idx.plan_slots({0: {v0}}))
     G = envelope_table(m, idx.n_pieces)
     assert refined.tau() <= empty.tau() + G[0, 1] * idx.theta  # sanity scale
     # the refined state's anchor counts reflect the partial plan
@@ -157,7 +157,7 @@ def test_state_invariants_after_every_add(seed):
     m = LogisticModel.from_ratio(0.3)
     g = np.random.default_rng(seed)
     plan = _random_plan(idx, g, 2)
-    state = BoundState(idx, m, plan)
+    state = BoundState(idx, m, idx.plan_slots(plan))
     assert np.array_equal(state.c0, idx.plan_counts(plan))
     plan = {j: set(s) for j, s in plan.items()}
     for _ in range(12):
@@ -177,7 +177,7 @@ def test_state_invariants_after_every_add(seed):
 def test_slot_gain_matches_piece_gain():
     idx = random_index(seed=12)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, _random_plan(idx, np.random.default_rng(0), 3))
+    state = BoundState(idx, m, idx.plan_slots(_random_plan(idx, np.random.default_rng(0), 3)))
     gains = state.scan([1] * idx.n_pieces)
     for j, cov in enumerate(idx.pieces):
         for i, v in enumerate(cov.promoters.tolist()):
@@ -196,7 +196,7 @@ def test_slot_gain_is_scan_bit_for_bit(seed):
     m = LogisticModel.from_ratio(0.3)
     g = np.random.default_rng(seed)
     for trial in range(4):
-        state = BoundState(idx, m, _random_plan(idx, g, 2 + trial))
+        state = BoundState(idx, m, idx.plan_slots(_random_plan(idx, g, 2 + trial)))
         for _ in range(3 * trial):
             j = int(g.integers(idx.n_pieces))
             state.slot_add(idx.slot(j, int(g.choice(idx.pieces[j].promoters))))
@@ -208,7 +208,7 @@ def test_slot_gain_is_scan_bit_for_bit(seed):
 def test_scan_counts_pieces_with_available_slots():
     idx = random_index(seed=14)
     m = LogisticModel.from_ratio(0.5)
-    state = BoundState(idx, m, {})
+    state = BoundState(idx, m, idx.plan_slots({}))
     sizes = [len(c.promoters) for c in idx.pieces]
     state.scan([0, 2, 1])
     assert state.evals == sizes[1] + sizes[2]
@@ -224,7 +224,7 @@ def test_scan_is_where_reference_bit_for_bit(seed):
     m = LogisticModel.from_ratio(0.3)
     g = np.random.default_rng(seed)
     anchor = _random_plan(idx, g, 3)
-    state = BoundState(idx, m, anchor)
+    state = BoundState(idx, m, idx.plan_slots(anchor))
     # The premise of the product form: every weight is finite and ≥ 0.
     assert np.isfinite(state.D).all() and (state.D >= 0.0).all()
     c0 = idx.plan_counts(anchor)

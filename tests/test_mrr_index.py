@@ -174,3 +174,22 @@ def test_find_slots_matches_bruteforce():
     assert np.isin(vertices.ravel()[got >= 0], pool).all()
     plan = {0: {int(idx.pieces[0].promoters[0]), 2, 100}, 2: {int(idx.pieces[2].promoters[-1])}}
     assert idx.plan_slots(plan).tolist() == [0, len(idx.piece) - 1]
+
+
+def test_slot_cells_is_per_slot_concatenation():
+    """The one-gather cells of a slot array equal the per-slot concatenation
+    of ``cells[indptr[g]:indptr[g+1]]``: for no slots, for repeated slots,
+    and for two slots of one piece that share samples."""
+    idx = random_index(n_vertices=30, theta=40, n_pieces=3, density=0.3, seed=4)
+    lo, hi = idx.offsets[1], idx.offsets[2]
+    shared = next(
+        (a, b)
+        for a in range(lo, hi)
+        for b in range(a + 1, hi)
+        if np.intersect1d(idx.covers[a], idx.covers[b]).size
+    )
+    for slots in ([], [3, 0, 3, 3], list(shared)):
+        slots = np.array(slots, dtype=np.intp)
+        want = [idx.cells[idx.indptr[g] : idx.indptr[g + 1]] for g in slots.tolist()]
+        got = idx.slot_cells(slots)
+        assert got.tolist() == np.concatenate([np.empty(0, np.intp), *want]).tolist()

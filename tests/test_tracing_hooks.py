@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core import bab, baselines, bound
 from repro.core.adoption import LogisticModel
@@ -48,12 +49,13 @@ def test_tracer_installs_and_restores_without_spark():
     assert [getattr(mod, name) for mod, name in HOOKED] == before
 
 
-def test_traced_search_counts_one_estimate_au_per_bound_call():
+@pytest.mark.parametrize("progressive", [False, True], ids=["BAB", "BAB-P"])
+def test_traced_search_counts_one_estimate_au_per_bound_call(progressive):
     idx = random_index(seed=3)
     m = LogisticModel.from_ratio(0.5)
     tracer = _tracing().Tracer(None)
     with tracer.installed():
-        res = bab.branch_and_bound(idx, m, 4, progressive=True, max_pops=20)
+        res = bab.branch_and_bound(idx, m, 4, progressive=progressive, max_pops=20)
     assert tracer.acc["setup.bound_calls"] == res.bound_calls
     assert tracer.acc["setup.estimate_au_calls"] == res.bound_calls
 
